@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload tile_browse --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload tile_browse --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` reports the end-to-end metrics of BENCHMARK.json from an
 untraced run; ``--trace 1`` reports the per-layer metrics from a run whose
@@ -11,14 +11,12 @@ object (``correct``, ``attempted``, ``failed``, ``metrics``); the lines
 before it are a readable report, also written with the environment block
 to ``perfbench/results/<workload>-trace<0|1>.json``.
 
-The thread environment and the allocator are pinned here, before anything
-imports NumPy.
+The thread environment is pinned here, before anything imports NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 from pathlib import Path
@@ -33,10 +31,8 @@ PINNED_ENV = {
     "REPRO_WORKERS": "1",
 }
 
-#: glibc ``mallopt`` parameter number of ``M_ARENA_MAX``.
-M_ARENA_MAX = -8
-
-WORKLOAD_NAMES = ("tile_browse", "ingest_retile", "analyst_session")
+WORKLOAD_NAMES = ("tile_browse", "ingest_retile", "analyst_session",
+                  "stream_slide")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -51,19 +47,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def pin_allocator() -> bool:
-    """One glibc malloc arena for all threads.
-
-    The server starts a thread per connection and glibc would give each
-    its own arena; how much memory those arenas keep then depends on
-    scheduling, and ``peak_rss_mb`` moved by 15% between runs.
-    """
-    try:
-        return bool(ctypes.CDLL("libc.so.6").mallopt(M_ARENA_MAX, 1))
-    except (OSError, AttributeError):
-        return False  # not glibc
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
@@ -71,11 +54,10 @@ def main(argv=None) -> int:
               "from a full checkout of the repository", file=sys.stderr)
         return 2
     os.environ.update(PINNED_ENV)
-    arena_pinned = pin_allocator()
     sys.path.insert(0, str(ROOT / "src"))
     import runner  # imports NumPy, so only after pinning
 
-    return runner.main(args, ROOT, arena_pinned)
+    return runner.main(args, ROOT)
 
 
 if __name__ == "__main__":

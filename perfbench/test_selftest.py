@@ -55,6 +55,34 @@ def test_short_run_reports_every_metric(workload, trace):
     assert oracles and all(line.strip().startswith("PASS") for line in oracles)
 
 
+#: Runs the benchmark with the tile cache's invalidation made a no-op, so
+#: every ingest leaves stale tiles in the cache.
+_NO_INVALIDATION = """
+import runpy, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+from repro.serve.cache import LRUCache
+LRUCache.invalidate = lambda self, key=None, predicate=None: 0
+sys.argv = [{run!r}] + sys.argv[1:]
+runpy.run_path({run!r}, run_name="__main__")
+"""
+
+
+def test_ingest_oracle_catches_missed_invalidation(tmp_path):
+    script = tmp_path / "no_invalidation.py"
+    script.write_text(_NO_INVALIDATION.format(
+        src=str(ROOT / "src"), bench=str(ROOT / "perfbench"),
+        run=str(ROOT / "perfbench" / "run.py")))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--workload", "ingest_retile",
+         "--seed", "7", "--seconds", "8", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is False
+    assert result["failed"] > 0
+
+
 def test_fails_without_the_program(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     for path in CONTRACT["paths"]:

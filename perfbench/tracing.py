@@ -14,10 +14,11 @@ Two entry points carry extra bookkeeping:
   header), so a client latency can be split into service, encoding and
   transport time for the same request;
 * ``MaintainedSurface.sync`` is named by context: the first sync of a
-  surface is its cold build (``surfaces.cold_build.z<zoom>``), a sync
-  under ``AnalyticsService.ingest`` is ingest maintenance
-  (``surfaces.sync``), any other is the no-op check on the read path
-  (``surfaces.sync_on_read``).
+  surface is its cold build (``surfaces.cold_build.z<zoom>``, whose
+  inclusive time is kept per zoom), a sync under
+  ``AnalyticsService.ingest`` is ingest maintenance (``surfaces.sync``);
+  any other is the no-op check on the read path and is not a span, so
+  its time stays in the caller's self time.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ from repro.serve.frontend import ReproRequestHandler
 from repro.serve.service import AnalyticsService, TileResult
 from repro.serve.stats import ServeStats
 from repro.serve.surfaces import MaintainedSurface
-from repro.stream import StreamingKDV
+from repro.stream import (
+    StreamingHotspot,
+    StreamingKDV,
+    StreamingKFunction,
+    StreamWindow,
+)
 
 #: (owner, attribute, span name).  Module-level functions are wrapped in
 #: every namespace their callers resolve them from.
@@ -59,7 +65,10 @@ ENTRY_POINTS = (
     (repro.core.pipeline, "kde_grid", "kdv.kde_grid"),
     (repro.core.pipeline, "k_function_plot", "kfunction.envelope"),
     (repro.core.pipeline, "extract_hotspots", "clustering.extract"),
+    (StreamWindow, "push", "stream.window_push"),
     (StreamingKDV, "apply", "stream.kdv_apply"),
+    (StreamingHotspot, "apply", "stream.hotspot_apply"),
+    (StreamingKFunction, "apply", "stream.kfunction_apply"),
 )
 
 
@@ -91,7 +100,7 @@ class Tracer:
         """Forget every recorded span (keeps the wrappers installed)."""
         with self._lock:
             self.self_s: dict[str, list[float]] = defaultdict(list)
-            self.total_s: dict[str, list[float]] = defaultdict(list)
+            self.cold_build_s: dict[int, list[float]] = defaultdict(list)
             self.requests: dict[str, dict[str, float]] = {}
             self.sync_dirty: list[int] = []
             self.queue_depth_max = 0.0
@@ -127,7 +136,8 @@ class Tracer:
             stack = self._tls.stack = []
         return stack
 
-    def _span_name(self, fixed: str | None, args, stack) -> str:
+    def _span_name(self, fixed: str | None, args, stack) -> str | None:
+        """The span's name; None for a read-path sync, which is not a span."""
         if fixed is not None:
             return fixed
         surface = args[0]  # MaintainedSurface.sync(self, dataset)
@@ -136,7 +146,7 @@ class Tracer:
             return f"surfaces.cold_build.z{surface.zoom}"
         if stack and stack[-1].name == "service.ingest":
             return "surfaces.sync"
-        return "surfaces.sync_on_read"
+        return None
 
     def _wrap(self, fn, fixed_name: str | None):
         tracer = self
@@ -146,7 +156,10 @@ class Tracer:
             if not tracer.active:
                 return fn(*args, **kwargs)
             stack = tracer._stack()
-            frame = _Frame(tracer._span_name(fixed_name, args, stack))
+            name = tracer._span_name(fixed_name, args, stack)
+            if name is None:
+                return fn(*args, **kwargs)
+            frame = _Frame(name)
             stack.append(frame)
             start = perf_counter()
             try:
@@ -168,11 +181,13 @@ class Tracer:
     def _record(self, frame: _Frame, total: float, args) -> None:
         with self._lock:
             self.self_s[frame.name].append(total - frame.child_s)
-            self.total_s[frame.name].append(total)
+            if frame.name.startswith("surfaces.cold_build.z"):
+                zoom = int(frame.name.rsplit(".z", 1)[1])
+                self.cold_build_s[zoom].append(total)
             if frame.name == "frontend.handler":
                 rid = args[0].headers.get("X-Request-Id")
                 if rid is not None:
-                    self.requests[rid] = dict(frame.children, total=total)
+                    self.requests[rid] = dict(frame.children)
 
     def _watch_gauge(self, fn):
         tracer = self

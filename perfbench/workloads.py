@@ -1,4 +1,4 @@
-"""The three benchmark workloads.
+"""The four benchmark workloads.
 
 Each workload generates its inputs from the seed in ``__init__`` (not
 timed), builds a fresh system in :meth:`setup` (timed as ``setup_s``),
@@ -9,6 +9,7 @@ workload exists and which layers it stresses.
 
 HTTP workloads keep ``state["log"]``: ``(request id, seconds, body bytes)``
 per completed request, which the traced run joins with server spans.
+``stream_slide`` calls the ``repro.stream`` library directly.
 """
 
 from __future__ import annotations
@@ -21,10 +22,19 @@ from time import perf_counter
 import numpy as np
 
 import repro
+from repro.core.autocorrelation import local_gi_star
 from repro.core.kernels import get_kernel
+from repro.core.kfunction import ripley_k
 from repro.core.pipeline import HotspotAnalysis
 from repro.core.request import HotspotRequest, KDVRequest
 from repro.data import chicago_crime
+from repro.stream import (
+    StreamEngine,
+    StreamingHotspot,
+    StreamingKDV,
+    StreamingKFunction,
+    StreamWindow,
+)
 
 from harness import Client, Phase, Server, Verdict, json_body, register_dataset
 
@@ -210,7 +220,10 @@ class IngestRetile:
     zooms = ((2, 2), (3, 3))      # (zoom, viewport width in tiles)
     batch_sizes = (20, 50)
     n_rounds = 2_000              # reused cyclically
-    max_checks = 24
+    #: The oracle value-checks the re-served tiles of every k-th round, up
+    #: to ``max_checks`` tiles a run.
+    check_every = 4
+    max_checks = 39
 
     def __init__(self, seed: int):
         crime = chicago_crime(self.n_events, seed=_rng(seed, 1))
@@ -252,8 +265,8 @@ class IngestRetile:
             if resp.status != 200:
                 raise RuntimeError(f"cold tile failed: {resp.status}")
         return {"server": server, "client": client, "round": 0,
-                "batches": [], "served": {}, "fresh_samples": [],
-                "unchanged": [0, 0], "log": []}
+                "batches": [], "served": {}, "samples": [],
+                "unchanged": [0, 0], "ahead": 0, "log": []}
 
     def teardown(self, state: dict) -> None:
         state["client"].close()
@@ -267,6 +280,8 @@ class IngestRetile:
         deadline = start + seconds
         while perf_counter() < deadline:
             batch, body, tiles = self.rounds[state["round"] % self.n_rounds]
+            sampled = (state["round"] % self.check_every == 0
+                       and len(state["samples"]) < self.max_checks)
             state["round"] += 1
             phase.attempted += 1
             resp = client.request("POST", "/v1/ingest/city", body)
@@ -292,15 +307,20 @@ class IngestRetile:
                 done.append((tile.sent + tile.seconds, 1))
                 state["log"].append((tile.rid, tile.seconds, tile.size))
                 payload = json.loads(tile.body)
+                if payload["version"] > version:
+                    state["ahead"] += 1
                 key = (z, tx, ty)
                 previous = state["served"].get(key)
                 state["served"][key] = (payload["version"], payload["values"])
                 if previous is None:
                     continue               # first view: nothing to refresh
+                if sampled:
+                    # Whatever version it reports, a tile re-served after
+                    # this ingest must match a fresh surface over this
+                    # version: a clean tile's pixels did not change.
+                    state["samples"].append((version, payload))
                 if payload["version"] == version:
                     fresh_at = tile.sent + tile.seconds
-                    if len(state["fresh_samples"]) < self.max_checks:
-                        state["fresh_samples"].append(payload)
                 else:
                     # Not dirtied by this ingest: must be the cached tile.
                     state["unchanged"][0] += 1
@@ -315,14 +335,18 @@ class IngestRetile:
 
     def check(self, state: dict) -> list[Verdict]:
         verdicts = []
-        for payload in state["fresh_samples"]:
-            points = np.vstack([self.points]
-                               + state["batches"][:payload["version"]])
-            verdicts.append(_check_tile("retile_fresh_values", payload, points))
+        for version, payload in state["samples"]:
+            points = np.vstack([self.points] + state["batches"][:version])
+            verdicts.append(_check_tile(f"retile_values@v{version}", payload,
+                                        points))
         seen, changed = state["unchanged"]
         verdicts.append(Verdict(
             "retile_clean_tiles_unchanged", changed == 0,
             f"{changed} of {seen} cached tiles changed",
+        ))
+        verdicts.append(Verdict(
+            "retile_version_not_ahead", state["ahead"] == 0,
+            f"{state['ahead']} tiles newer than the last ingest",
         ))
         return verdicts
 
@@ -453,4 +477,104 @@ class AnalystSession:
         return verdicts
 
 
-WORKLOADS = {w.name: w for w in (TileBrowse, IngestRetile, AnalystSession)}
+class StreamSlide:
+    """The streaming library API: a 20k-event window slid 1k events a push.
+
+    The feed is a seeded permutation of one fixed pool of events, so the
+    density every push sees (and with it the K-function's pair counts)
+    does not depend on the seed; only which events arrive in which order
+    does.  Times are the event's position in the feed.
+    """
+
+    name = "stream_slide"
+    window = 20_000
+    slide = 1_000                 # 5% of the window
+    pool_size = 200_000           # a multiple of ``slide``; reused cyclically
+    pool_seed = 20_240_601        # fixes the density, never the feed order
+    size = (256, 192)
+    bandwidth = 1.0               # km, on the 30 x 40 km window
+    lattice = (30, 40)            # 1 km hotspot cells
+    thresholds = (0.1, 0.2, 0.3, 0.5)
+    #: Lower than the library default (64) so that the drift policy
+    #: re-scatters the surface about once per 70 pushes, inside a run.
+    rescatter_ratio = 8.0
+
+    def __init__(self, seed: int):
+        pool = chicago_crime(self.pool_size, seed=self.pool_seed)
+        self.bbox = pool.bbox
+        self.points = pool.points[_rng(seed, 5).permutation(self.pool_size)]
+
+    def _push(self, engine: StreamEngine, k: int) -> None:
+        """Push the ``k``-th slide of the (cyclic) feed."""
+        lo = (k * self.slide) % self.pool_size
+        times = np.arange(k * self.slide, (k + 1) * self.slide,
+                          dtype=np.float64)
+        engine.push(self.points[lo:lo + self.slide], times)
+
+    def setup(self) -> dict:
+        engine = StreamEngine(StreamWindow(capacity=self.window))
+        engine.register("kdv", StreamingKDV(
+            self.bbox, self.size, self.bandwidth,
+            rescatter_ratio=self.rescatter_ratio))
+        engine.register("hotspot", StreamingHotspot(self.bbox, self.lattice))
+        engine.register("kfunction",
+                        StreamingKFunction(self.bbox, self.thresholds))
+        # Fill the window slide by slide: one 20k-event push would make
+        # the K-function count all 2e8 pairs among the batch at once.
+        fill = self.window // self.slide
+        for k in range(fill):
+            self._push(engine, k)
+        return {"engine": engine, "next": fill, "checkpoints": []}
+
+    def teardown(self, state: dict) -> None:
+        state["engine"] = None
+
+    def run(self, state: dict, seconds: float) -> Phase:
+        phase = Phase()
+        engine = state["engine"]
+        start = perf_counter()
+        deadline = start + seconds
+        while perf_counter() < deadline:
+            sent = perf_counter()
+            self._push(engine, state["next"])
+            end = perf_counter()
+            state["next"] += 1
+            phase.attempted += 1
+            phase.latencies.append(end - sent)
+            phase.steps.append((self.slide, end - sent))
+        # A checkpoint per run, taken after the timed loop.
+        kdv = engine.analytics["kdv"]
+        state["checkpoints"].append({
+            "window": engine.window.points,
+            "kdv": kdv.accumulator.surface(0),
+            "kdv_tolerance": kdv.accumulator.drift_tolerance,
+            "gi": engine.analytics["hotspot"].snapshot().values.ravel(),
+            "k": engine.analytics["kfunction"].snapshot().k,
+        })
+        return phase
+
+    def check(self, state: dict) -> list[Verdict]:
+        verdicts = []
+        hotspot = StreamingHotspot(self.bbox, self.lattice)
+        for cp in state["checkpoints"]:
+            points = cp["window"]
+            gi = local_gi_star(hotspot.bin(points), hotspot.weights)
+            verdicts.append(Verdict(
+                "stream_gi_star_equals_batch", np.array_equal(cp["gi"], gi),
+                f"{points.shape[0]} events, {gi.shape[0]} cells"))
+            k = ripley_k(points, self.thresholds, self.bbox, method="grid")
+            verdicts.append(Verdict(
+                "stream_k_equals_batch", np.array_equal(cp["k"], k),
+                f"K={np.array2string(k, precision=4)}"))
+            ref = repro.kde_grid(points, self.bbox, self.size, self.bandwidth,
+                                 kernel="quartic", method="grid").values
+            err = float(np.max(np.abs(cp["kdv"] - ref)))
+            verdicts.append(Verdict(
+                "stream_kdv_within_drift_tolerance",
+                err <= cp["kdv_tolerance"],
+                f"max|err|={err:.3g} tol={cp['kdv_tolerance']:.3g}"))
+        return verdicts
+
+
+WORKLOADS = {w.name: w for w in (TileBrowse, IngestRetile, AnalystSession,
+                                 StreamSlide)}
