@@ -547,7 +547,7 @@ register_deprecation(
     Deprecation(
         kind="function",
         qualname="repro.core.kdv.kde_gridcut",
-        replacement="repro.core.kdv.kde_grid(method='gridcut')",
+        replacement="repro.core.kdv.kde_grid(method='grid')",
         since="PR 10 (analytics service layer)",
     )
 )

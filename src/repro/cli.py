@@ -25,7 +25,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import obs
-from .core.kdv import kde_grid
+from .core.kdv import KDV_METHODS, kde_grid
 from .core.kfunction import k_function_plot
 from .core.pipeline import HotspotAnalysis
 from .core.stkdv import stkdv
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     kdv.add_argument("input", help="CSV of x,y[,t] events")
     kdv.add_argument("--bandwidth", type=float, required=True)
     kdv.add_argument("--kernel", default="quartic")
-    kdv.add_argument("--method", default="auto")
+    kdv.add_argument("--method", default="auto", choices=KDV_METHODS)
     kdv.add_argument("--size", type=_parse_size, default=(256, 192))
     kdv.add_argument("--colormap", default="heat")
     kdv.add_argument("--out", help="output PPM path")
@@ -330,9 +330,7 @@ def _cmd_generate(args) -> int:
 def _cmd_kdv(args) -> int:
     ds = read_dataset_csv(args.input, margin=0.0)
     # method="auto" resolves through the cost-based planner inside
-    # kde_grid; --workers/--backend/--tau/--dtype pass through as
-    # planning hints (the pre-PR-8 CLI rewrote --method here, and its
-    # two sequential rewrites conflicted for --workers + --dtype).
+    # kde_grid; --workers/--backend/--tau/--dtype pass through as hints.
     grid = kde_grid(
         ds.points, ds.bbox, args.size, args.bandwidth,
         kernel=args.kernel, method=args.method, workers=args.workers,

@@ -1,0 +1,147 @@
+"""The ``kde_grid`` backend registry: one frozen record per backend.
+
+``KDV_METHODS``, the ``kde_grid`` keyword audit and dispatch, the auto
+planner's candidates, feasibility check, cost model and calibration map,
+``plan_request``'s pricing and the CLI's ``--method`` choices are all
+derived from :data:`BACKENDS`.  The table is private and fixed, not an
+extension point; its order is the planner's candidate order and tiebreak.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
+
+from .adaptive import kde_adaptive
+from .bounds import kde_bounds
+from .dualtree import kde_dualtree
+from .gridcut import kde_gridcut
+from .naive import kde_naive
+from .parallel import kde_parallel
+from .sampling import kde_sampling
+from .sweep import kde_sweep
+
+#: Parallel scaling exponent: ``workers`` workers buy a
+#: ``workers ** 0.85`` speedup on the divisible phase (thread dispatch
+#: and memory bandwidth eat the rest; BENCH_envelope_parallel.json).
+PARALLEL_EFFICIENCY_EXPONENT = 0.85
+
+_EPS = 0.05    # bounds / sampling guarantee
+_TAU = 1e-3    # dual-tree absolute error budget
+
+Features = Mapping[str, object]
+
+
+@dataclass(frozen=True)
+class Backend:
+    """Everything the library knows about one ``kde_grid`` backend."""
+
+    name: str  # the method= string
+    run: Callable  # entry point, run(problem, **params)
+    # Predicted wall seconds, cost(c, features): c(name) reads a CostModel
+    # coefficient, features are the planner's problem features.
+    cost: Callable[[Callable[[str], float], Features], float]
+    # Method-specific keywords it honours -> the value passed when unset.
+    params: Mapping[str, object] = field(default_factory=dict)
+    weights: bool = True  # honours per-point weights
+    # Why it cannot run a problem with these features, or None.
+    infeasible: Callable[[Features], str | None] = lambda features: None
+    calibrates: str | None = None  # the coefficient trace calibration rescales
+    auto: bool = False  # in the exact family method="auto" plans among
+
+
+def _n(f: Features) -> float:
+    return float(f["n"])
+
+
+def _npx(f: Features) -> float:
+    return float(f["nx"]) * float(f["ny"])
+
+
+def _logn(f: Features) -> float:
+    return math.log2(max(_n(f), 2.0))
+
+
+def _speedup(f: Features) -> float:
+    return max(1.0, float(f.get("workers", 1)) ** PARALLEL_EFFICIENCY_EXPONENT)
+
+
+def _grid_cost(c, f: Features) -> float:
+    cost = (c("grid_base") + c("grid_pp") * _n(f) * float(f["patch"])
+            + c("grid_px") * _npx(f))
+    if f.get("dtype") == "float32":
+        cost *= c("grid_f32_factor")
+    return cost
+
+
+def _naive_cost(c, f: Features) -> float:
+    return c("naive_pp") * _n(f) * _npx(f)
+
+
+def _sweep_cost(c, f: Features) -> float:
+    return (c("sweep_base")
+            + c("sweep_unit") * float(f["ny"]) * (float(f["nx"]) + _n(f)))
+
+
+def _sweep_infeasible(f: Features) -> str | None:
+    if not f["poly"]:
+        return "kernel is not polynomial in d^2"
+    if f["sub_pixel"]:
+        return "sub-pixel bandwidth stresses the sweep's cancellation"
+    return None
+
+
+def _parallel_cost(c, f: Features) -> float:
+    return (c("parallel_overhead") * float(f.get("workers", 1))
+            + c("parallel_pp") * _n(f) * _npx(f) / _speedup(f))
+
+
+def _dualtree_cost(c, f: Features) -> float:
+    tau = f.get("tau")
+    tau = _TAU if tau is None else max(float(tau), 1e-12)
+    # Tighter budgets refine more pairs; the sqrt law is a documented
+    # heuristic, clipped so a wild tau cannot blow the prediction past
+    # physical plausibility.
+    tau_factor = min(4.0, max(0.25, math.sqrt(_TAU / tau)))
+    return (c("dualtree_base")
+            + c("dualtree_build") * _n(f) * _logn(f)
+            + c("dualtree_refine") * _npx(f) * _logn(f) * tau_factor
+            / _speedup(f))
+
+
+def _bounds_cost(c, f: Features) -> float:
+    eps = f.get("eps")
+    eps = _EPS if eps is None else max(float(eps), 1e-3)
+    return c("bounds_unit") * _npx(f) * _logn(f) / eps
+
+
+def _sampling_cost(c, f: Features) -> float:
+    sample = f.get("sample")
+    m = min(_n(f), 2000.0 if sample is None else float(sample))
+    return c("sampling_base") + c("naive_pp") * m * _npx(f)
+
+
+#: Every backend by name, in candidate/tiebreak order.
+BACKENDS: dict[str, Backend] = {b.name: b for b in (
+    Backend("grid", kde_gridcut, _grid_cost, params={"dtype": None},
+            calibrates="grid_pp", auto=True),
+    Backend("sweep", kde_sweep, _sweep_cost, infeasible=_sweep_infeasible,
+            calibrates="sweep_unit", auto=True),
+    Backend("naive", kde_naive, _naive_cost, calibrates="naive_pp",
+            auto=True),
+    Backend("parallel", kde_parallel, _parallel_cost,
+            params={"workers": None, "backend": None},
+            calibrates="parallel_pp", auto=True),
+    Backend("dualtree", kde_dualtree, _dualtree_cost,
+            params={"tau": _TAU, "workers": None, "backend": None},
+            calibrates="dualtree_refine", auto=True),
+    Backend("bounds", kde_bounds, _bounds_cost,
+            params={"eps": _EPS, "index": "kdtree"}, weights=False,
+            calibrates="bounds_unit"),
+    Backend("sampling", kde_sampling, _sampling_cost,
+            params={"eps": _EPS, "delta": 0.05, "sample": None, "seed": None},
+            weights=False, calibrates="sampling_base"),
+    # Never planned for, so unmodelled: an explicit request costs zero.
+    Backend("adaptive", kde_adaptive, lambda c, f: 0.0),
+)}

@@ -7,15 +7,15 @@
 ============  ====================================================  ============
 method        algorithm                                             result
 ============  ====================================================  ============
-``naive``     brute-force O(XYn) gather                             exact
+``auto``      cost-based planner over the exact family              as chosen
 ``grid``      support-cutoff scatter                                exact*
 ``sweep``     SLAM-style sweep line, O(Y(X + n))                    exact
-``bounds``    per-pixel kd/ball-tree function approximation         (1±eps)
+``naive``     brute-force O(XYn) gather                             exact
+``parallel``  ``naive``'s gather over row bands on worker lanes     exact
 ``dualtree``  parallel tile-vs-node block refinement                |err|<=tau/2
+``bounds``    per-pixel kd/ball-tree function approximation         (1±eps)
 ``sampling``  reweighted uniform subset (Equation 7)                prob.
-``parallel``  thread-parallel exact gather                          exact
 ``adaptive``  Abramson/Silverman per-point bandwidths               exact**
-``auto``      cost-based planner over the exact family              as chosen
 ============  ====================================================  ============
 
 (*) for infinite-support kernels, ``grid``/``auto`` truncate below a
@@ -23,36 +23,31 @@ method        algorithm                                             result
 (**) exact for the *adaptive* estimator, which is a different surface
 from the fixed-bandwidth Definition 1.
 
-Per-point ``weights`` are honoured by ``naive``, ``grid``, ``sweep``,
-``parallel``, ``adaptive``, ``auto`` and — since the plan/execute
-refactor — ``dualtree``, whose kd-tree carries per-node weight sums so
-the ``|err| <= tau/2`` guarantee is spent against the total weight.
-``bounds`` and ``sampling`` reject weights (their analyses assume unit
-mass).  ``dualtree`` and ``parallel`` additionally accept ``workers`` /
-``backend`` and route their hot loop through :mod:`repro.parallel` under
-the bit-identical worker-invariance contract; ``dualtree`` attaches a
-:class:`~repro.core.kdv.dualtree.RefinementStats` record to the result's
-``diagnostics.records["refinement"]``.  Every backend reports into
-:mod:`repro.obs` when tracing is active, and the task's span tree rides
-on the returned grid's ``diagnostics``.
+Each backend is one record of the private registry in
+:mod:`repro.core.kdv._registry`: which method-specific keywords it
+honours, whether it takes per-point ``weights`` (all but ``bounds`` and
+``sampling``, whose analyses assume unit mass), whether ``auto`` plans
+among it, and what it costs.  The method names, the keyword audit and
+dispatch below are derived from it.  ``dualtree`` spends its
+``|err| <= tau/2`` budget against the total weight and attaches a
+:class:`~repro.core.kdv.dualtree.RefinementStats` record to
+``diagnostics.records["refinement"]``; ``dualtree`` and ``parallel`` run
+their hot loop through :mod:`repro.parallel` under the bit-identical
+worker-invariance contract.  Every backend reports into :mod:`repro.obs`
+when tracing is active.
 
 ``auto`` resolves through the cost-based planner of
-:mod:`repro.core.kdv.planner` — a calibrated per-backend cost model over
-``(n, nx*ny, bandwidth/pixel ratio, kernel family, workers)`` picks the
-cheapest backend among the exact family (``grid``/``sweep``/``naive``/
-``parallel``/``dualtree``), honours the :mod:`repro.parallel` worker
-default (``REPRO_WORKERS``), and caches plans by problem signature.  The
-decision is recorded on the result's ``diagnostics.records["kdv.plan"]``
-(method, rationale, per-backend predicted costs).
+:mod:`repro.core.kdv.planner`: it picks the cheapest exact-family backend
+for the problem's shape and the :mod:`repro.parallel` worker default
+(``REPRO_WORKERS``), caches plans by problem signature, and records its
+decision on the result's ``diagnostics.records["kdv.plan"]``.
 
-Method-specific parameters (``eps``, ``delta``, ``sample``, ``seed``,
+Method-specific keywords (``eps``, ``delta``, ``sample``, ``seed``,
 ``index``, ``tau``, ``workers``, ``backend``, ``dtype``) raise
-:class:`~repro.errors.ParameterError` when combined with an *explicit*
-method that would silently ignore them.  With ``method="auto"`` they are
-planning hints instead: the audit runs against the planner-*resolved*
-method, which by construction honours as many of them as any single
-backend can (hints no backend can jointly honour are recorded under the
-plan's ``dropped`` mapping, never silently swallowed).
+:class:`~repro.errors.ParameterError` with an *explicit* method that
+would ignore them.  With ``method="auto"`` they are planning hints: the
+audit runs against the resolved method, and hints no single backend can
+honour together are listed under the plan's ``dropped`` mapping.
 """
 
 from __future__ import annotations
@@ -62,23 +57,20 @@ from ...errors import ParameterError
 from ...geometry import BoundingBox
 from ...raster import DensityGrid
 from ..kernels import Kernel
-from .adaptive import kde_adaptive
+from ._registry import BACKENDS
 from .base import KDVProblem
-from .bounds import kde_bounds
-from .dualtree import kde_dualtree
-from .gridcut import kde_gridcut
-from .naive import kde_naive
-from .parallel import kde_parallel
 from .planner import _METHOD_ONLY_PARAMS, plan_kdv
-from .sampling import kde_sampling
-from .sweep import kde_sweep
 
 __all__ = ["kde_grid", "KDV_METHODS"]
 
-KDV_METHODS = (
-    "auto", "naive", "grid", "sweep", "bounds", "dualtree", "sampling", "parallel",
-    "adaptive",
-)
+KDV_METHODS = ("auto", *BACKENDS)
+
+
+def _check_method(method: str) -> None:
+    if method not in KDV_METHODS:
+        raise ParameterError(
+            f"unknown KDV method {method!r}; available: {', '.join(KDV_METHODS)}"
+        )
 
 
 def kde_grid(
@@ -154,37 +146,34 @@ def kde_grid(
     on ``.diagnostics.records["refinement"]`` when ``method="dualtree"``,
     and a populated span tree whenever tracing is enabled).
     """
-    if method not in KDV_METHODS:
-        raise ParameterError(
-            f"unknown KDV method {method!r}; available: {', '.join(KDV_METHODS)}"
-        )
-    requested = {
-        "eps": eps, "delta": delta, "sample": sample, "seed": seed,
-        "workers": workers, "backend": backend, "index": index, "tau": tau,
-        "dtype": dtype,
-    }
-    explicit = {k: v for k, v in requested.items() if v is not None}
+    _check_method(method)
+    explicit = {k: v for k, v in dict(
+        eps=eps, delta=delta, sample=sample, seed=seed, index=index, tau=tau,
+        workers=workers, backend=backend, dtype=dtype,
+    ).items() if v is not None}
 
     problem = KDVProblem(points, bbox, size, bandwidth, kernel, weights=weights)
 
     with obs.task("kdv") as trace:
         # Plan -> audit -> execute.  ``auto`` resolves through the
         # planner *first*, so the audit always runs against a concrete
-        # backend and only sees the keywords the plan forwards (the
-        # pre-PR-8 ordering rejected legal calls like auto + workers=2).
+        # backend and only sees the keywords the plan forwards.
         if method == "auto":
             plan = plan_kdv(problem, explicit)
-            method = plan.method
-            requested = dict.fromkeys(requested)
-            requested.update(plan.kwargs)
+            method, explicit = plan.method, dict(plan.kwargs)
             trace.record("kdv.plan", plan.as_dict())
-        for name, accepted_by in _METHOD_ONLY_PARAMS.items():
-            if requested[name] is not None and method not in accepted_by:
+        chosen = BACKENDS[method]
+        for name in explicit:
+            if name not in chosen.params:
                 raise ParameterError(
                     f"{name}= is only honoured by method "
-                    f"{' / '.join(repr(m) for m in accepted_by)}, not {method!r}"
+                    f"{' / '.join(map(repr, _METHOD_ONLY_PARAMS[name]))}, "
+                    f"not {method!r}"
                 )
-        grid = _dispatch(problem, method, **requested)
+        obs.count("kdv.points", problem.n)
+        obs.count("kdv.pixels", problem.nx * problem.ny)
+        obs.count(f"kdv.method.{method}")
+        grid = chosen.run(problem, **{**chosen.params, **explicit})
         values = grid.values
         if normalize:
             values = values * problem.normalization()
@@ -219,46 +208,3 @@ def _kde_grid_from_request(points, request, bbox=None, weights=None) -> DensityG
 
 kde_grid.from_request = _kde_grid_from_request
 
-
-def _dispatch(
-    problem: KDVProblem,
-    method: str,
-    eps, delta, sample, seed, workers, backend, index, tau, dtype,
-) -> DensityGrid:
-    """Run one resolved backend on a validated problem (tracing by caller)."""
-    obs.count("kdv.points", problem.n)
-    obs.count("kdv.pixels", problem.nx * problem.ny)
-    obs.count(f"kdv.method.{method}")
-
-    if method == "naive":
-        grid = kde_naive(problem)
-    elif method == "grid":
-        grid = kde_gridcut(problem, dtype=dtype)
-    elif method == "sweep":
-        grid = kde_sweep(problem)
-    elif method == "bounds":
-        grid = kde_bounds(
-            problem,
-            eps=0.05 if eps is None else eps,
-            index="kdtree" if index is None else index,
-        )
-    elif method == "dualtree":
-        grid = kde_dualtree(
-            problem,
-            tau=1e-3 if tau is None else tau,
-            workers=workers,
-            backend=backend,
-        )
-    elif method == "sampling":
-        grid = kde_sampling(
-            problem,
-            eps=0.05 if eps is None else eps,
-            delta=0.05 if delta is None else delta,
-            sample=sample,
-            seed=seed,
-        )
-    elif method == "parallel":
-        grid = kde_parallel(problem, workers=workers, backend=backend)
-    else:  # "adaptive" — the method name was validated above
-        grid = kde_adaptive(problem)
-    return grid

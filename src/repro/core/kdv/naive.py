@@ -37,18 +37,24 @@ def kde_naive(problem: KDVProblem, chunk_pixels: int = 4096):
     """
     chunk_pixels = int(check_positive(chunk_pixels, "chunk_pixels"))
     xs, ys = problem.pixel_centers()
+    return problem.make_grid(_gather(problem, xs, ys, chunk_pixels))
+
+
+def _gather(problem: KDVProblem, xs: np.ndarray, ys: np.ndarray,
+            chunk_pixels: int = 4096) -> np.ndarray:
+    """Exact ``(len(xs), len(ys))`` kernel sums at the pixel centres.
+
+    Each pixel's sum is one row reduction over all points, so the result
+    does not depend on how the pixels are chunked or banded.
+    """
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     queries = np.column_stack([gx.ravel(), gy.ravel()])
-
     pts = problem.points
     weights = problem.weights
-    b = problem.bandwidth
-    kernel = problem.kernel
 
     out = np.empty(queries.shape[0], dtype=np.float64)
     for start in range(0, queries.shape[0], chunk_pixels):
-        stop = min(start + chunk_pixels, queries.shape[0])
-        q = queries[start:stop]
+        q = queries[start:start + chunk_pixels]
         # Difference form, NOT the expanded |q|^2 + |p|^2 - 2 q.p: the
         # expansion loses ulps to cancellation exactly where d ~ the
         # kernel-support boundary, which silently flips boundary pixels —
@@ -56,10 +62,9 @@ def kde_naive(problem: KDVProblem, chunk_pixels: int = 4096):
         d2 = (q[:, 0][:, None] - pts[:, 0][None, :]) ** 2 + (
             q[:, 1][:, None] - pts[:, 1][None, :]
         ) ** 2
-        vals = kernel.evaluate_sq(d2, b)
-        if weights is None:
-            out[start:stop] = vals.sum(axis=1)
-        else:
-            out[start:stop] = vals @ weights
+        vals = problem.kernel.evaluate_sq(d2, problem.bandwidth)
+        out[start:start + q.shape[0]] = (
+            vals.sum(axis=1) if weights is None else vals @ weights
+        )
     obs.count("kdv.distance_evals", queries.shape[0] * pts.shape[0])
-    return problem.make_grid(out.reshape(problem.nx, problem.ny))
+    return out.reshape(len(xs), len(ys))

@@ -5,7 +5,8 @@ represented here by CPU worker lanes: the pixel grid is split into row
 bands and each band is evaluated independently with the exact naive
 formula.  NumPy releases the GIL inside its BLAS-backed matrix products,
 so the default ``thread`` backend delivers genuine parallel speedup
-without pickling overhead.
+without pickling overhead.  Each band runs :func:`kde_naive`'s chunked
+gather, so memory per band stays bounded however large the band is.
 
 The band decomposition rides on the shared executor
 (:mod:`repro.parallel`) — the same layer that runs the Monte-Carlo
@@ -25,29 +26,9 @@ from ... import obs
 from ..._validation import check_positive
 from ...parallel import parallel_starmap
 from .base import KDVProblem
+from .naive import _gather
 
 __all__ = ["kde_parallel"]
-
-
-def _band(problem: KDVProblem, xs: np.ndarray, ys: np.ndarray, j_lo: int, j_hi: int) -> np.ndarray:
-    """Exact kernel sums for pixel rows ``j_lo:j_hi`` (a y-band)."""
-    pts = problem.points
-    gx, gy = np.meshgrid(xs, ys[j_lo:j_hi], indexing="ij")
-    q = np.column_stack([gx.ravel(), gy.ravel()])
-    # Difference form (see kde_naive): the expanded form loses ulps at
-    # kernel-support boundaries.
-    d2 = (q[:, 0][:, None] - pts[:, 0][None, :]) ** 2 + (
-        q[:, 1][:, None] - pts[:, 1][None, :]
-    ) ** 2
-    # Total over all bands is nx*ny*n — invariant even though the band
-    # split itself follows the requested worker count.
-    obs.count("kdv.distance_evals", d2.size)
-    vals = problem.kernel.evaluate_sq(d2, problem.bandwidth)
-    if problem.weights is None:
-        summed = vals.sum(axis=1)
-    else:
-        summed = vals @ problem.weights
-    return summed.reshape(len(xs), j_hi - j_lo)
 
 
 def kde_parallel(problem: KDVProblem, workers: int | None = 4, backend: str | None = None):
@@ -71,8 +52,8 @@ def kde_parallel(problem: KDVProblem, workers: int | None = 4, backend: str | No
 
     with obs.span("kdv.bands"):
         results = parallel_starmap(
-            _band,
-            [(problem, xs, ys, j_lo, j_hi) for j_lo, j_hi in spans],
+            _gather,
+            [(problem, xs, ys[j_lo:j_hi]) for j_lo, j_hi in spans],
             workers=workers,
             backend=backend,
         )

@@ -1,17 +1,9 @@
 """Cost-based planner behind ``kde_grid(method="auto")``.
 
 The paper's §2.2 observation is that no single acceleration family wins
-everywhere: the crossovers between the nine ``kde_grid`` backends depend
-on the event count, the pixel resolution, the bandwidth-to-pixel ratio
-and the kernel family.  Until PR 8 ``auto`` was a static two-way if/else
-(sweep for polynomial kernels, grid otherwise) that could never select a
-parallel backend — and, worse, the method-specific parameter audit ran
-*before* auto resolution, so legal calls like
-``kde_grid(..., method="auto", workers=2)`` crashed.
-
-This module replaces that with an explicit *plan → audit → execute*
-split (generalising the dual-tree backend's plan/execute refactor from
-PR 4):
+everywhere: the crossovers between the ``kde_grid`` backends depend on
+the event count, the pixel resolution, the bandwidth-to-pixel ratio and
+the kernel family.  ``kde_grid`` therefore plans, audits, then executes:
 
 * :func:`plan_kdv` resolves a problem plus the caller's explicit
   method-specific keywords into a :class:`KDVPlan` — the chosen backend,
@@ -19,13 +11,14 @@ PR 4):
   dropped (with reasons), the predicted per-backend costs and a
   human-readable rationale;
 * a small calibrated :class:`CostModel` predicts per-backend wall time
-  from ``(n, nx*ny, bandwidth/pixel ratio, kernel family, workers)``.
+  from ``(n, nx*ny, bandwidth/pixel ratio, kernel family, workers)``
+  through each backend's record in :mod:`repro.core.kdv._registry`.
   The shipped coefficients are seeded from the repository's own
   benchmark artefacts (``benchmarks/results/BENCH_*.json`` and
   ``ablation_kdv_methods.txt``) and can be refreshed from those files or
   from :mod:`repro.obs` traces via :func:`calibrate`;
 * an LRU plan cache keyed by the problem signature lets repeated
-  identical queries (the future serve layer's hot case) skip planning
+  identical queries (the serve layer's hot case) skip planning
   entirely — see :func:`plan_cache_info` / :func:`clear_plan_cache`.
 
 Keyword semantics under ``auto``: an explicit method-specific keyword is
@@ -53,6 +46,7 @@ from typing import Iterable, Mapping
 
 from ... import obs, parallel
 from ...errors import ParameterError
+from ._registry import BACKENDS, Backend
 from .base import KDVProblem, effective_radius
 
 __all__ = [
@@ -67,39 +61,23 @@ __all__ = [
     "plan_kdv",
 ]
 
-# Which methods honour each method-specific keyword.  ``None`` (the
-# argument default) always means "not requested"; with an explicit
-# ``method=`` an explicit value outside its row is an error rather than
-# a silent no-op, while under ``method="auto"`` it is a planning hint
-# (see the module docstring).  ``kde_grid`` imports this table and runs
-# its audit against the *resolved* method.
+# Which methods honour each method-specific keyword (from the backend
+# registry).  ``None`` (the argument default) always means "not
+# requested"; with an explicit ``method=`` an explicit value outside its
+# row is an error rather than a silent no-op, while under
+# ``method="auto"`` it is a planning hint (see the module docstring).
 _METHOD_ONLY_PARAMS: dict[str, tuple[str, ...]] = {
-    "eps": ("bounds", "sampling"),
-    "delta": ("sampling",),
-    "sample": ("sampling",),
-    "seed": ("sampling",),
-    "index": ("bounds",),
-    "tau": ("dualtree",),
-    "workers": ("parallel", "dualtree"),
-    "backend": ("parallel", "dualtree"),
-    "dtype": ("grid",),
+    name: tuple(b.name for b in BACKENDS.values() if name in b.params)
+    for name in dict.fromkeys(k for b in BACKENDS.values() for k in b.params)
 }
 
 #: Backends ``auto`` plans among when no keyword hint widens the pool:
 #: the exact family (dual-tree's ``|err| <= tau/2`` with the default
 #: ``tau=1e-3`` included).  Order is the deterministic cost tiebreak.
-AUTO_CANDIDATES = ("grid", "sweep", "naive", "parallel", "dualtree")
-
-#: Backends whose analyses assume unit mass and therefore reject weights.
-_WEIGHT_REJECTING = ("bounds", "sampling")
+AUTO_CANDIDATES = tuple(b.name for b in BACKENDS.values() if b.auto)
 
 #: Maximum number of cached plans (LRU eviction beyond this).
 PLAN_CACHE_MAXSIZE = 256
-
-#: Parallel scaling exponent: ``workers`` workers buy a
-#: ``workers ** 0.85`` speedup on the divisible phase (thread dispatch
-#: and memory bandwidth eat the rest; BENCH_envelope_parallel.json).
-_PARALLEL_EFFICIENCY_EXPONENT = 0.85
 
 
 @dataclass(frozen=True)
@@ -200,48 +178,10 @@ class CostModel:
 
     def predict(self, method: str, features: Mapping[str, object]) -> float:
         """Predicted wall seconds of ``method`` on a problem's features."""
-        c = self.coefficient
-        n = float(features["n"])
-        nx = float(features["nx"])
-        ny = float(features["ny"])
-        npx = nx * ny
-        patch = float(features["patch"])
-        workers = float(features.get("workers", 1))
-        logn = math.log2(max(n, 2.0))
-        eff = max(1.0, workers ** _PARALLEL_EFFICIENCY_EXPONENT)
-
-        if method == "naive":
-            return c("naive_pp") * n * npx
-        if method == "parallel":
-            return (c("parallel_overhead") * workers
-                    + c("parallel_pp") * n * npx / eff)
-        if method == "grid":
-            cost = (c("grid_base") + c("grid_pp") * n * patch
-                    + c("grid_px") * npx)
-            if features.get("dtype") == "float32":
-                cost *= c("grid_f32_factor")
-            return cost
-        if method == "sweep":
-            return c("sweep_base") + c("sweep_unit") * ny * (nx + n)
-        if method == "dualtree":
-            tau = features.get("tau")
-            tau = 1e-3 if tau is None else max(float(tau), 1e-12)
-            # Tighter budgets refine more pairs; the sqrt law is a
-            # documented heuristic, clipped so a wild tau cannot blow
-            # the prediction past physical plausibility.
-            tau_factor = min(4.0, max(0.25, math.sqrt(1e-3 / tau)))
-            return (c("dualtree_base")
-                    + c("dualtree_build") * n * logn
-                    + c("dualtree_refine") * npx * logn * tau_factor / eff)
-        if method == "bounds":
-            eps = features.get("eps")
-            eps = 0.05 if eps is None else max(float(eps), 1e-3)
-            return c("bounds_unit") * npx * logn / eps
-        if method == "sampling":
-            sample = features.get("sample")
-            m = min(n, 2000.0 if sample is None else float(sample))
-            return c("sampling_base") + c("naive_pp") * m * npx
-        raise ParameterError(f"cost model has no backend named {method!r}")
+        backend = BACKENDS.get(method)
+        if backend is None:
+            raise ParameterError(f"cost model has no backend named {method!r}")
+        return backend.cost(self.coefficient, features)
 
 
 _DEFAULT_COEFFICIENTS: dict[str, float] = {
@@ -327,16 +267,12 @@ def _problem_features(problem: KDVProblem, requested: Mapping[str, object],
     }
 
 
-def _infeasible_reason(method: str, features: Mapping[str, object]) -> str | None:
-    """Why ``method`` cannot run this problem, or ``None`` if it can."""
-    if method == "sweep":
-        if not features["poly"]:
-            return "kernel is not polynomial in d^2"
-        if features["sub_pixel"]:
-            return "sub-pixel bandwidth stresses the sweep's cancellation"
-    if method in _WEIGHT_REJECTING and features["weighted"]:
+def _infeasible_reason(backend: Backend,
+                       features: Mapping[str, object]) -> str | None:
+    """Why ``backend`` cannot run this problem, or ``None`` if it can."""
+    if features["weighted"] and not backend.weights:
         return "rejects per-point weights"
-    return None
+    return backend.infeasible(features)
 
 
 def _normalise_requested(requested: Mapping[str, object] | None) -> dict:
@@ -381,16 +317,11 @@ def _compute_plan(problem: KDVProblem, requested: Mapping[str, object],
             if method not in candidates:
                 candidates.append(method)
 
-    infeasible: dict[str, str] = {}
-    feasible: list[str] = []
-    for method in candidates:
-        reason = _infeasible_reason(method, features)
-        if reason is None:
-            feasible.append(method)
-        else:
-            infeasible[method] = reason
-    # The exact family always leaves grid/naive/parallel/dualtree
-    # feasible, so the pool can never be empty.
+    infeasible = {m: reason for m in candidates
+                  if (reason := _infeasible_reason(BACKENDS[m], features))}
+    # The exact family always has members that run every problem, so
+    # the pool can never be empty.
+    feasible = [m for m in candidates if m not in infeasible]
 
     def honoured(method: str) -> list[str]:
         return [k for k in requested if method in _METHOD_ONLY_PARAMS[k]]
@@ -480,34 +411,39 @@ def plan_kdv(problem: KDVProblem,
 # --------------------------------------------------------------------------
 
 _ABLATION_ROW = re.compile(
-    r"^(?P<method>naive|grid|sweep|parallel)\s+(?P<n>\d+)\s+"
-    r"(?P<ms>[0-9.]+)\s*ms"
+    r"^(?P<method>\w+)\s+(?P<n>\d+)\s+(?P<ms>[0-9.]+)\s*ms"
 )
 _ABLATION_GRID = re.compile(r"(?P<nx>\d+)x(?P<ny>\d+)\s+grid")
 
 
 def _fit_from_ablation_text(text: str, fitted: dict[str, float]) -> None:
-    """Per-unit slopes from ``ablation_kdv_methods.txt`` rows."""
+    """Per-unit slopes of the exact family from ``ablation_kdv_methods.txt``.
+
+    A row's slope is its measured seconds over the backend's cost with
+    its calibrated coefficient at one and every other at zero.  The
+    table records no bandwidth, so rows whose cost needs the kernel
+    patch (the grid scatter) are skipped.
+    """
     grid_match = _ABLATION_GRID.search(text)
     if grid_match is None:
         return
     nx = int(grid_match.group("nx"))
     ny = int(grid_match.group("ny"))
-    npx = nx * ny
     slopes: dict[str, list[float]] = {}
     for line in text.splitlines():
         row = _ABLATION_ROW.match(line.strip())
-        if row is None:
+        backend = BACKENDS.get(row.group("method")) if row else None
+        if backend is None or not backend.auto:
             continue
-        method = row.group("method")
-        n = int(row.group("n"))
-        seconds = float(row.group("ms")) / 1e3
-        if method in ("naive", "parallel"):
-            slopes.setdefault(f"{method}_pp", []).append(seconds / (n * npx))
-        elif method == "sweep":
-            slopes.setdefault("sweep_unit", []).append(
-                seconds / (ny * (nx + n))
-            )
+        features = {"n": int(row.group("n")), "nx": nx, "ny": ny}
+        try:
+            per_unit = backend.cost(
+                lambda name: float(name == backend.calibrates), features)
+        except KeyError:
+            continue
+        slopes.setdefault(backend.calibrates, []).append(
+            float(row.group("ms")) / 1e3 / per_unit
+        )
     for name, values in slopes.items():
         # The largest n dominates the asymptotic slope; use the median
         # to stay robust to the setup-dominated small rows.
@@ -551,14 +487,9 @@ def _fit_from_traces(traces: Iterable, fitted: dict[str, float]) -> None:
     ``kde_grid(method="auto")`` run carries the plan (predicted cost +
     features) and the task's measured wall seconds.  The ratio
     measured/predicted, geometric-averaged per backend, rescales that
-    backend's dominant coefficient — the "refresh from production
+    backend's calibrated coefficient — the "refresh from production
     traces" loop the serve layer will drive.
     """
-    dominant = {
-        "naive": "naive_pp", "parallel": "parallel_pp", "grid": "grid_pp",
-        "sweep": "sweep_unit", "dualtree": "dualtree_refine",
-        "bounds": "bounds_unit", "sampling": "sampling_base",
-    }
     log_ratios: dict[str, list[float]] = {}
     for diagnostics in traces:
         record_ = getattr(diagnostics, "records", {}).get("kdv.plan")
@@ -567,15 +498,15 @@ def _fit_from_traces(traces: Iterable, fitted: dict[str, float]) -> None:
         predicted = float(record_.get("cost") or 0.0)
         root = getattr(diagnostics, "root", None)
         measured = float(getattr(root, "seconds", 0.0) or 0.0)
-        method = record_.get("method")
-        if predicted <= 0.0 or measured <= 0.0 or method not in dominant:
+        backend = BACKENDS.get(record_.get("method"))
+        if (predicted <= 0.0 or measured <= 0.0 or backend is None
+                or backend.calibrates is None):
             continue
-        log_ratios.setdefault(method, []).append(
+        log_ratios.setdefault(backend.calibrates, []).append(
             math.log(measured / predicted)
         )
-    for method, ratios in log_ratios.items():
+    for name, ratios in log_ratios.items():
         scale = math.exp(sum(ratios) / len(ratios))
-        name = dominant[method]
         fitted[name] = _model.coefficient(name) * scale
 
 
@@ -593,7 +524,7 @@ def calibrate(results_dir: str | Path | None = None,
     traces:
         Optional iterable of :class:`~repro.obs.Diagnostics` records from
         traced ``kde_grid(method="auto")`` runs; measured-vs-predicted
-        ratios rescale each backend's dominant coefficient.
+        ratios rescale each backend's calibrated coefficient.
 
     Returns the installed :class:`CostModel`.  Installation bumps the
     model generation, invalidating every cached plan.

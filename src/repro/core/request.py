@@ -47,6 +47,15 @@ import numpy as np
 from .. import obs, parallel
 from ..errors import ParameterError
 from ..geometry import BoundingBox
+from .kdv._registry import PARALLEL_EFFICIENCY_EXPONENT
+from .kdv.api import _check_method
+from .kdv.base import KDVProblem
+from .kdv.planner import (
+    _METHOD_ONLY_PARAMS,
+    _problem_features,
+    cost_model,
+    plan_kdv,
+)
 
 __all__ = [
     "AnalyticsRequest",
@@ -223,6 +232,7 @@ class KDVRequest(AnalyticsRequest):
                 f"bandwidth must be a positive number, got {self.bandwidth!r}"
             )
         object.__setattr__(self, "bandwidth", bandwidth)
+        _check_method(self.method)
         size = tuple(int(v) for v in self.size)
         if len(size) != 2 or size[0] < 1 or size[1] < 1:
             raise ParameterError(f"size must be (nx, ny) positive, got {self.size!r}")
@@ -250,18 +260,8 @@ class KDVRequest(AnalyticsRequest):
     def kwargs(self) -> dict:
         """``kde_grid`` keyword arguments equivalent to this request."""
         return {
-            "kernel": self.kernel,
-            "method": self.method,
-            "normalize": self.normalize,
-            "eps": self.eps,
-            "delta": self.delta,
-            "sample": self.sample,
-            "seed": self.seed,
-            "index": self.index,
-            "tau": self.tau,
-            "dtype": self.dtype,
-            "workers": self.workers,
-            "backend": self.backend,
+            f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+            if f.name not in ("dataset", "bandwidth", "size", "bbox")
         }
 
 
@@ -438,7 +438,7 @@ _K_SIM_BASE = 2.0e-4
 def _monte_carlo_cost(n: int, n_simulations: int, n_thresholds: int,
                       workers: int) -> float:
     """Predicted wall seconds of a CSR-envelope K-function run."""
-    eff = max(1.0, float(workers) ** 0.85)
+    eff = max(1.0, float(workers) ** PARALLEL_EFFICIENCY_EXPONENT)
     logn = math.log2(max(float(n), 2.0))
     per_curve = _K_SIM_BASE + _K_PAIR_SECONDS * n * logn * n_thresholds
     return per_curve * (n_simulations + 1) / eff
@@ -450,13 +450,11 @@ def plan_request(request: AnalyticsRequest, points,
 
     KDV requests with ``method="auto"`` delegate to the calibrated
     :func:`~repro.core.kdv.planner.plan_kdv` cost model (sharing its LRU
-    plan cache); explicit-method KDV requests and the Monte-Carlo tools
-    get closed-form estimates so every request kind reports a predicted
-    cost through the same shape.
+    plan cache); explicit-method KDV requests are priced by the same
+    model on the same features, and the Monte-Carlo tools get a
+    closed-form estimate, so every request kind reports a predicted cost
+    through the same shape.
     """
-    from .kdv.base import KDVProblem
-    from .kdv.planner import cost_model, plan_kdv
-
     pts = np.asarray(points, dtype=np.float64)
     n = int(pts.shape[0])
     window = request.resolve_bbox(bbox)
@@ -465,12 +463,11 @@ def plan_request(request: AnalyticsRequest, points,
         problem = KDVProblem(
             pts, window, request.size, request.bandwidth, request.kernel
         )
+        hints = {
+            k: v for k, v in request.kwargs().items()
+            if k in _METHOD_ONLY_PARAMS and v is not None
+        }
         if request.method == "auto":
-            hints = {
-                k: v for k, v in request.kwargs().items()
-                if k in ("eps", "delta", "sample", "seed", "index", "tau",
-                         "workers", "backend", "dtype") and v is not None
-            }
             plan = plan_kdv(problem, hints)
             return RequestPlan(
                 kind=request.kind, method=plan.method, cost=plan.cost,
@@ -478,16 +475,9 @@ def plan_request(request: AnalyticsRequest, points,
                 detail=plan.as_dict(),
             )
         workers = parallel.resolve_workers(request.workers)
-        features = {
-            "n": n, "nx": request.size[0], "ny": request.size[1],
-            "patch": float(request.size[0] * request.size[1]),
-            "workers": workers, "dtype": request.dtype, "tau": request.tau,
-            "eps": request.eps, "sample": request.sample,
-        }
-        try:
-            cost = cost_model().predict(request.method, features)
-        except ParameterError:
-            cost = 0.0  # adaptive and friends: no model row, execute anyway
+        cost = cost_model().predict(
+            request.method, _problem_features(problem, hints, workers)
+        )
         return RequestPlan(
             kind=request.kind, method=request.method, cost=cost,
             rationale=f"explicit method {request.method!r}", workers=workers,

@@ -48,6 +48,19 @@ class TestParser:
         assert exc.value.code == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_kdv_method_choices_are_the_registry(self, capsys):
+        from repro.core.kdv import KDV_METHODS
+
+        for method in KDV_METHODS:
+            args = build_parser().parse_args(
+                ["kdv", "x.csv", "--bandwidth", "2", "--method", method])
+            assert args.method == method
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["kdv", "x.csv", "--bandwidth", "2", "--method", "gridcut"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("frames", ["0", "-3", "2.5", "lots"])
     def test_bad_frame_count_rejected(self, frames, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.kdv import kde_grid
+from repro.core.kdv import KDVProblem, kde_grid, plan_kdv
+from repro.core.kdv.planner import AUTO_CANDIDATES
 from repro.core.kfunction import k_function_plot
 from repro.core.pipeline import HotspotAnalysis
 from repro.core.request import (
@@ -77,6 +78,13 @@ class TestRoundTrip:
             KDVRequest(bandwidth=0.0)
         with pytest.raises(ParameterError, match="bandwidth"):
             KDVRequest(bandwidth=-2.0)
+
+    def test_unknown_kdv_method_rejected_at_construction(self):
+        with pytest.raises(ParameterError, match="unknown KDV method"):
+            KDVRequest(bandwidth=1.0, method="bogus")
+        with pytest.raises(ParameterError, match="unknown KDV method"):
+            request_from_dict({"kind": "kdv", "bandwidth": 1.0,
+                               "method": "gridcut"})
 
 
 class TestFingerprint:
@@ -198,6 +206,19 @@ class TestPlanRequest:
         plan = plan_request(req, POINTS, bbox=BBOX)
         assert plan.method == "naive"
         assert "explicit" in plan.rationale
+
+    @pytest.mark.parametrize("method", AUTO_CANDIDATES)
+    def test_explicit_kdv_priced_like_the_planner(self, method):
+        # Explicit methods are priced on the planner's own features, so
+        # they cost exactly what the planner predicts for that backend.
+        req = KDVRequest(bandwidth=1.0, size=(64, 48), method=method)
+        plan = plan_request(req, POINTS, bbox=BBOX)
+        problem = KDVProblem(POINTS, BBOX, req.size, req.bandwidth)
+        assert plan.cost == plan_kdv(problem).costs[method]
+
+    def test_explicit_adaptive_is_priced_at_zero(self):
+        req = KDVRequest(bandwidth=1.0, size=(16, 16), method="adaptive")
+        assert plan_request(req, POINTS, bbox=BBOX).cost == 0.0
 
     def test_monte_carlo_costs_scale_with_simulations(self):
         small = plan_request(

@@ -533,6 +533,16 @@ class TestHTTPFrontend:
             _get(base, "/v1/tile/d/1/0/0.json")
         assert excinfo.value.code == 400
 
+    def test_unknown_kdv_method_400(self, http_server):
+        base, _ = http_server
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base, "/v1/query", {
+                "kind": "kdv", "dataset": "d", "bandwidth": 0.8,
+                "method": "bogus",
+            })
+        assert excinfo.value.code == 400
+        assert "unknown KDV method" in json.loads(excinfo.value.read())["error"]
+
     def test_unknown_route_404(self, http_server):
         base, _ = http_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
