@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kdv import KDVProblem, kde_dualtree, kde_naive, kde_sampling
+from repro.core.kdv import KDVProblem, kde_dualtree, kde_sampling
+from repro.core.kdv.naive import kde_naive
 
 from _util import record
 

@@ -22,7 +22,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.kdv import KDVProblem, kde_dualtree, kde_naive
+from repro.core.kdv import KDVProblem, kde_dualtree
+from repro.core.kdv.naive import kde_naive
 
 from _util import RESULTS_DIR, record
 

@@ -36,7 +36,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.kdv import KDVProblem, effective_radius, kde_gridcut
+from repro.core.kdv import KDVProblem, effective_radius
+from repro.core.kdv.gridcut import kde_gridcut
 from repro.core.kdv.dualtree import (
     _PLAN_TILE_CAP,
     _TILE_LEAF,

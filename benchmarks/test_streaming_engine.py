@@ -26,7 +26,8 @@ import pytest
 
 import repro
 from repro.core.autocorrelation import local_gi_star
-from repro.core.kdv import KDVAccumulator, KDVProblem, kde_gridcut
+from repro.core.kdv import KDVProblem, kde_grid
+from repro.core.kdv.gridcut import kde_gridcut
 from repro.core.kfunction import ripley_k
 from repro.data import hawkes_stream
 from repro.stream import (
@@ -84,8 +85,8 @@ def test_delta_refresh(benchmark, hawkes_feed):
     # on the final refreshed window.
     wpts = engine.window.points
     kdv = engine.analytics["kdv"]
-    fresh = KDVAccumulator(BBOX, SIZE, BANDWIDTH).add(wpts)
-    drift = np.abs(kdv.accumulator.surface(0) - fresh.surface(0)).max()
+    fresh = kde_grid(wpts, BBOX, SIZE, BANDWIDTH, method="grid").values
+    drift = np.abs(kdv.accumulator.surface(0) - fresh).max()
     assert drift <= kdv.accumulator.drift_tolerance
 
     hotspot = engine.analytics["hotspot"]
@@ -105,7 +106,7 @@ def test_delta_refresh(benchmark, hawkes_feed):
     kdv.rescatter(wpts)
     np.testing.assert_array_equal(
         kdv.accumulator.surface(0),
-        KDVAccumulator(BBOX, SIZE, BANDWIDTH).add(wpts).surface(0),
+        kde_grid(wpts, BBOX, SIZE, BANDWIDTH, method="grid").values,
     )
 
 

@@ -520,12 +520,11 @@ register_deprecation(
     )
 )
 
-# Recompute-per-refresh sliding-window bookkeeping around a raw
-# KDVAccumulator is superseded by the streaming engine, which owns the
-# window, the drift policy and the dirty-tile ledger.  The accumulator
-# itself remains the engine's substrate (reached via relative imports,
-# which RPR014 does not flag); new *call sites* should go through
-# repro.stream.
+# The single-surface accumulator class named below is deleted: the
+# streaming engine's StreamingKDV owns the window, the drift policy and
+# the dirty-tile ledger, and drives a one-surface MultiSurfaceAccumulator
+# directly.  The entry keeps RPR014 flagging any import that reintroduces
+# the class.
 register_deprecation(
     Deprecation(
         kind="function",
@@ -538,11 +537,11 @@ register_deprecation(
 # The positional per-method KDV entry points (kde_gridcut(problem, tail,
 # dtype) and friends) are superseded by the unified keyword surface of
 # kde_grid(method=...) / KDVRequest — one signature the planner, the
-# request layer and the server all share.  Registered under their
-# *package-surface* qualnames: the dispatcher and the ST sweeps reach
-# the implementations through their defining modules (the sanctioned
-# internal path), while any new code importing them from the public
-# ``repro.core.kdv`` surface is flagged toward kde_grid.
+# request layer and the server all share.  They are no longer on the
+# ``repro.core.kdv`` surface; registered under those *package-surface*
+# qualnames, the entries flag any import that puts them back, while the
+# registry and the ST sweeps reach the implementations through their
+# defining modules (the sanctioned internal path).
 register_deprecation(
     Deprecation(
         kind="function",

@@ -301,11 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for surface maintenance (default: REPRO_WORKERS)",
-    )
-    srv.add_argument(
-        "--backend", default=None, choices=["serial", "thread", "process"],
-        help="executor backend (default: REPRO_BACKEND)",
+        help="worker count that sizes the default --max-inflight "
+             "(default: REPRO_WORKERS)",
     )
 
     return parser
@@ -550,7 +547,6 @@ def _cmd_serve(args) -> int:
         result_cache_capacity=args.result_cache,
         max_inflight=args.max_inflight,
         workers=args.workers,
-        backend=args.backend,
     ))
     if args.input:
         ds = read_dataset_csv(args.input, margin=0.05)

@@ -8,9 +8,6 @@ from .lscv import lscv_bandwidth, lscv_score
 from .base import KDVProblem, effective_radius
 from .bounds import kde_bounds, kde_point_bounds
 from .dualtree import RefinementStats, kde_dualtree
-from .gridcut import kde_gridcut
-from .naive import kde_naive
-from .parallel import kde_parallel
 from .planner import (
     CostModel,
     KDVPlan,
@@ -20,12 +17,10 @@ from .planner import (
     plan_kdv,
 )
 from .sampling import kde_sampling, sample_size
-from .streaming import KDVAccumulator, MultiSurfaceAccumulator
-from .sweep import kde_sweep
+from .streaming import MultiSurfaceAccumulator
 
 __all__ = [
     "CostModel",
-    "KDVAccumulator",
     "KDVPlan",
     "MultiSurfaceAccumulator",
     "KDVProblem",
@@ -44,12 +39,8 @@ __all__ = [
     "kde_dualtree",
     "kde_grid",
     "kde_grid_anisotropic",
-    "kde_gridcut",
-    "kde_naive",
-    "kde_parallel",
     "kde_point_bounds",
     "kde_sampling",
-    "kde_sweep",
     "sample_size",
     "scott_bandwidth",
     "silverman_bandwidth",

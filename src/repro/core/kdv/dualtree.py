@@ -76,9 +76,8 @@ class RefinementStats:
     """Observability record for one dual-tree refinement run.
 
     Carried on the returned grid as
-    ``grid.diagnostics.records["refinement"]`` (``grid.stats`` remains a
-    deprecated alias); all counters cover the plan and execute phases
-    together.
+    ``grid.diagnostics.records["refinement"]``; all counters cover the
+    plan and execute phases together.
     """
 
     pairs_visited: int

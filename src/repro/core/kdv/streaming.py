@@ -1,26 +1,25 @@
-"""Streaming / incremental KDV.
+"""Streaming / incremental KDV: the signed-weight surface bank.
 
 The interactive systems the paper describes (KDV-Explorer [28], the live
 COVID hotspot maps [6, 8]) must refresh heatmaps as new events arrive and
 old ones expire.  Recomputing from scratch per update wastes the work on
-the unchanged points; a :class:`KDVAccumulator` maintains the density grid
-under point insertions and deletions at the cost of one kernel *patch* per
-changed point (the cutoff-scatter update, which is exact).
+the unchanged points; a :class:`MultiSurfaceAccumulator` maintains ``S``
+density surfaces under point insertions and deletions at the cost of one
+kernel *patch* per changed point (the cutoff-scatter update, which is
+exact), scattering each point's patch onto surface ``s`` scaled by a
+per-point, per-surface weight.
 
-Typical sliding-window use::
+It has two consumers: the temporal-sharing STKDV backend (``S`` moment
+surfaces, re-referenced by :meth:`~MultiSurfaceAccumulator.recombine`),
+and :class:`repro.stream.StreamingKDV`, the maintained single surface
+(``S = 1``, unit weights) with a drift policy and a dirty-tile ledger.
+Typical sliding-window use goes through the latter::
 
-    acc = KDVAccumulator(bbox, (256, 192), bandwidth=2.0)
-    acc.add(first_batch)
-    ...
-    acc.add(new_events)
-    acc.remove(expired_events)   # must be points previously added
-    grid = acc.grid()
-
-:class:`MultiSurfaceAccumulator` is the weighted generalisation that the
-temporal-sharing STKDV backend builds on: it maintains ``S`` surfaces at
-once, scattering each point's kernel patch onto surface ``s`` scaled by a
-per-point, per-surface weight.  ``KDVAccumulator`` is its ``S = 1``,
-weight ``±1`` specialisation.
+    kdv = StreamingKDV(bbox, (256, 192), bandwidth=2.0)
+    engine = StreamEngine(StreamWindow(capacity=5000))
+    engine.register("kdv", kdv)
+    engine.push(new_points, new_times)   # expired events leave the window
+    grid = kdv.snapshot()
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ from ..._validation import as_points
 from ...errors import DataError, ParameterError
 from ...geometry import BoundingBox
 from ...parallel import parallel_starmap
-from ...raster import DensityGrid
 from ..kernels import Kernel
 from ..scatter import PatchScatter
 
-__all__ = ["KDVAccumulator", "MultiSurfaceAccumulator"]
+__all__ = ["MultiSurfaceAccumulator"]
 
 #: Event-chunk size of :meth:`MultiSurfaceAccumulator.rescatter`.  A fixed
 #: constant — never derived from the worker count — so the chunk
@@ -335,38 +333,3 @@ class MultiSurfaceAccumulator:
             f"surfaces={self.n_surfaces}, grid={self.nx}x{self.ny}, "
             f"kernel={self.kernel.name}, b={self.bandwidth:g})"
         )
-
-
-class KDVAccumulator(MultiSurfaceAccumulator):
-    """Exact incremental KDV over a fixed window/lattice/kernel/bandwidth."""
-
-    def __init__(
-        self,
-        bbox: BoundingBox,
-        size: tuple[int, int],
-        bandwidth: float,
-        kernel: str | Kernel = "quartic",
-        tail: float = 1e-12,
-        dtype=np.float64,
-    ):
-        super().__init__(
-            bbox, size, bandwidth, kernel=kernel, n_surfaces=1, tail=tail,
-            dtype=dtype,
-        )
-
-    def add(self, points) -> "KDVAccumulator":
-        """Add events to the surface; returns self for chaining."""
-        pts = as_points(points, allow_empty=True)
-        self.add_weighted(pts, np.ones((pts.shape[0], 1)))
-        return self
-
-    def remove(self, points) -> "KDVAccumulator":
-        """Remove previously-added events (caller tracks membership)."""
-        pts = as_points(points, allow_empty=True)
-        self.remove_weighted(pts, np.ones((pts.shape[0], 1)))
-        return self
-
-    def grid(self) -> DensityGrid:
-        """The current density surface (a defensive copy)."""
-        # Scattered subtraction can leave tiny negative residue; clip it.
-        return DensityGrid(self.bbox, np.maximum(self.surface(0), 0.0))

@@ -22,6 +22,7 @@ import numpy as np
 from ..._validation import as_points, check_positive, check_thresholds
 from ...errors import DataError, ParameterError
 from ...geometry import BoundingBox
+from ...geometry.distance import squared_norm
 from ...index import GridIndex
 from ..kernels import get_kernel
 
@@ -122,11 +123,10 @@ def inhomogeneous_k(
         idx = idx[idx != i]
         if idx.size == 0:
             continue
-        d = np.sqrt(((pts[idx] - pts[i]) ** 2).sum(axis=1))
+        d2 = squared_norm(pts[idx, 0] - pts[i, 0], pts[idx, 1] - pts[i, 1])
         w = inv[i] * inv[idx]
-        order = np.argsort(d)
-        d_sorted = d[order]
+        order = np.argsort(d2)
         w_cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        pos = np.searchsorted(d_sorted, ts, side="right")
+        pos = np.searchsorted(d2[order], ts * ts, side="right")
         out += w_cum[pos]
     return out / bbox.area

@@ -218,9 +218,10 @@ def border_ripley_k(
             dx = pts[start:stop, 0][:, None] - pts[None, :, 0]
             dy = pts[start:stop, 1][:, None] - pts[None, :, 1]
             d2[start:stop] = dx * dx + dy * dy
-        d_sorted = np.sort(np.sqrt(d2), axis=1)
+        d2_sorted = np.sort(d2, axis=1)
+        t2 = ts * ts
         table = np.stack(
-            [np.searchsorted(row, ts, side="right") for row in d_sorted]
+            [np.searchsorted(row, t2, side="right") for row in d2_sorted]
         ) - 1
     else:
         raise ParameterError(

@@ -26,6 +26,7 @@ from ... import obs
 from ..._validation import as_points, as_timestamps, check_thresholds
 from ...errors import ParameterError
 from ...geometry import BoundingBox
+from ...geometry.distance import squared_norm
 from ...index import GridIndex
 from ...parallel import parallel_map, spawn_rngs
 from .result import STKResult
@@ -47,19 +48,21 @@ _GRID_BLOCK = 256
 
 
 def _hist_counts(
-    d: np.ndarray,
+    d2: np.ndarray,
     dt: np.ndarray,
     s_ts: np.ndarray,
     t_ts: np.ndarray,
 ) -> np.ndarray:
     """Pair counts per (s, t) threshold cell from raw pair measures.
 
-    ``searchsorted`` on the sorted thresholds maps each pair to the first
-    threshold that admits it; the double cumulative sum then accumulates
-    "first admitted at <= (alpha, beta)".
+    ``d2`` are squared spatial distances.  ``searchsorted`` on the sorted
+    thresholds maps each pair to the first threshold that admits it; the
+    double cumulative sum then accumulates "first admitted at <= (alpha,
+    beta)".
     """
     hist = np.zeros((s_ts.shape[0] + 1, t_ts.shape[0] + 1), dtype=np.int64)
-    si = np.searchsorted(s_ts, d, side="left")  # first s index with s >= d
+    # First s index with d2 <= s * s: the library's within test.
+    si = np.searchsorted(s_ts * s_ts, d2, side="left")
     ti = np.searchsorted(t_ts, dt, side="left")
     np.add.at(hist, (si, ti), 1)
     grid = hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
@@ -75,10 +78,10 @@ def _st_naive_block_task(task):
     # land in a different cell than under the grid backend's (exact for
     # representable coordinates) difference form.
     diff = block[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2)).ravel()
+    d2 = squared_norm(diff[..., 0], diff[..., 1]).ravel()
     dt = np.abs(ts_vals[start:stop, None] - ts_vals[None, :]).ravel()
-    obs.count("stk.pairs_binned", d.shape[0])
-    return _hist_counts(d, dt, s_ts, t_ts)
+    obs.count("stk.pairs_binned", d2.shape[0])
+    return _hist_counts(d2, dt, s_ts, t_ts)
 
 
 def _st_grid_block_task(task):
@@ -90,12 +93,12 @@ def _st_grid_block_task(task):
         nbr = index.range_indices(pts[i], smax)
         if nbr.size == 0:
             continue
-        dvec = np.sqrt(((pts[nbr] - pts[i]) ** 2).sum(axis=1))
+        d2vec = squared_norm(pts[nbr, 0] - pts[i, 0], pts[nbr, 1] - pts[i, 1])
         dtvec = np.abs(ts_vals[nbr] - ts_vals[i])
         near = dtvec <= tmax
         if obs.is_active():
             pairs += int(near.sum())
-        counts += _hist_counts(dvec[near], dtvec[near], s_ts, t_ts)
+        counts += _hist_counts(d2vec[near], dtvec[near], s_ts, t_ts)
     if pairs:
         obs.count("stk.pairs_binned", pairs)
     return counts

@@ -95,7 +95,7 @@ class STKDVResult:
 
         The copy means mutating the returned grid's ``values`` can never
         corrupt the stack (or vice versa), matching
-        :meth:`repro.core.kdv.KDVAccumulator.grid`.
+        :meth:`repro.stream.StreamingKDV.snapshot`.
         """
         return DensityGrid(self.bbox, self.values[:, :, j].copy())
 

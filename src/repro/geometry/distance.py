@@ -15,6 +15,9 @@ from .._validation import as_points, check_positive
 from ..errors import ParameterError
 
 __all__ = [
+    "search_reach",
+    "squared_norm",
+    "within",
     "squared_distances",
     "distances",
     "pairwise_distances",
@@ -25,6 +28,49 @@ __all__ = [
 
 EARTH_RADIUS_M = 6_371_008.8
 """Mean Earth radius in metres (IUGG), used by :func:`haversine`."""
+
+#: Extra reach for subnormal rounding.  A squared distance below
+#: ``2**-1022`` is subnormal and is off by up to ``2**-1075``, so a point
+#: can pass :func:`within` at a distance up to ``sqrt(r*r + 2**-1074)``,
+#: which is at most ``r + 2**-537``.  Any reach of at least ``2**-537``
+#: covers that; ``2**-510`` is a conservative bound.
+_UNDERFLOW_REACH = 2.0 ** -510
+
+
+# -- the within-distance predicate ------------------------------------------
+#
+# Every range query and pair count in the library decides "is this point
+# within r of that one" with the same float expression, so that the
+# methods agree on every input, including the ulp-level boundary and the
+# underflow cases where squared and unsquared comparisons disagree.  Index
+# structures prune and bulk-accept with bounds that are consistent with
+# it (see search_reach).
+
+def squared_norm(dx, dy):
+    """``dx * dx + dy * dy``: the squared distance :func:`within` tests."""
+    return dx * dx + dy * dy
+
+
+def within(d2, radius):
+    """The one within-distance test: ``d2 <= radius * radius``.
+
+    ``d2`` is :func:`squared_norm` of the float coordinate differences
+    ``(px - qx, py - qy)``.  A multi-threshold count is the same test
+    per threshold: ``searchsorted(sorted_d2, ts * ts, side="right")``.
+    """
+    return d2 <= radius * radius
+
+
+def search_reach(radius: float) -> float:
+    """A distance every point that passes :func:`within` lies inside.
+
+    Rounding lets a point slightly farther than ``radius`` pass the
+    squared test: by a relative ``1e-9`` at most for normal squares, and
+    by an absolute ``2**-537`` at most once the squares are subnormal.
+    Candidate searches (grid cells, rectangles, tree pruning) use this
+    reach so they never drop a point the test would keep.
+    """
+    return radius * (1.0 + 1e-9) + _UNDERFLOW_REACH
 
 
 def squared_distances(queries, points) -> np.ndarray:

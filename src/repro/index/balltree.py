@@ -17,6 +17,7 @@ import numpy as np
 
 from .._validation import as_points, check_positive
 from ..errors import ParameterError
+from ..geometry.distance import search_reach, squared_norm, within
 
 __all__ = ["BallTree"]
 
@@ -122,22 +123,28 @@ class BallTree:
     def range_indices(self, center, radius: float) -> np.ndarray:
         radius = check_positive(radius, "radius")
         x, y = float(center[0]), float(center[1])
-        r2 = radius * radius
+        # The triangle-inequality bounds round (hypot, the node radius), so
+        # prune and bulk-accept only with a margin; the leaf test decides
+        # every point the margins leave open.  Points within pass
+        # ``dist <= reach``; points closer than ``inner`` pass ``within``.
+        reach = search_reach(radius)
+        inner = 2.0 * radius - reach
         hits: list[np.ndarray] = []
         stack = [0]
         while stack:
             node = stack.pop()
             dmin, dmax = self.node_bounds(node, x, y)
-            if dmin > radius:
+            margin = 1e-9 * dmax
+            if dmin - margin > reach:
                 continue
             start, stop = self.node_start[node], self.node_stop[node]
-            if dmax <= radius:
+            if dmax + margin < inner:
                 hits.append(np.arange(start, stop))
                 continue
             if self.is_leaf(node):
                 block = self._sorted_points[start:stop]
-                d2 = (block[:, 0] - x) ** 2 + (block[:, 1] - y) ** 2
-                sel = np.flatnonzero(d2 <= r2) + start
+                d2 = squared_norm(block[:, 0] - x, block[:, 1] - y)
+                sel = np.flatnonzero(within(d2, radius)) + start
                 if sel.size:
                     hits.append(sel)
                 continue

@@ -19,14 +19,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_positive
+from .._validation import check_non_negative, check_positive
 from ..errors import ParameterError
 from ..geometry import BoundingBox
+from ..geometry.distance import search_reach, squared_norm, within
 
 __all__ = ["DynamicGridIndex"]
 
 #: Initial slot-array capacity; grows by doubling.
 _MIN_CAPACITY = 64
+
+#: Per-axis cell cap, so cell ids stay inside int64 however small
+#: ``cell_size`` is against the window (the cells then widen past it).
+_MAX_AXIS_CELLS = 1 << 20
 
 
 class DynamicGridIndex:
@@ -52,10 +57,14 @@ class DynamicGridIndex:
             raise ParameterError("bbox must be a BoundingBox")
         self.bbox = bbox
         self.cell_size = check_positive(cell_size, "cell_size")
-        self.nx = max(1, int(np.ceil(bbox.width / self.cell_size)))
-        self.ny = max(1, int(np.ceil(bbox.height / self.cell_size)))
-        self.cell_w = max(bbox.width / self.nx, self.cell_size)
-        self.cell_h = max(bbox.height / self.ny, self.cell_size)
+        # Cells as wide as the search reach of cell_size keep a query at
+        # that radius inside a 3x3 block, however tiny cell_size is.
+        side = search_reach(self.cell_size)
+        cap = _MAX_AXIS_CELLS
+        self.nx = max(1, int(np.ceil(min(bbox.width / side, cap))))
+        self.ny = max(1, int(np.ceil(min(bbox.height / side, cap))))
+        self.cell_w = max(bbox.width / self.nx, side)
+        self.cell_h = max(bbox.height / self.ny, side)
         self._xs = np.empty(_MIN_CAPACITY, dtype=np.float64)
         self._ys = np.empty(_MIN_CAPACITY, dtype=np.float64)
         self._cell_of_slot = np.full(_MIN_CAPACITY, -1, dtype=np.int64)
@@ -125,10 +134,11 @@ class DynamicGridIndex:
     # -- queries -------------------------------------------------------------
 
     def _candidate_slots(self, x: float, y: float, radius: float) -> np.ndarray:
-        ix_lo = int(np.floor((x - radius - self.bbox.xmin) / self.cell_w))
-        ix_hi = int(np.floor((x + radius - self.bbox.xmin) / self.cell_w))
-        iy_lo = int(np.floor((y - radius - self.bbox.ymin) / self.cell_h))
-        iy_hi = int(np.floor((y + radius - self.bbox.ymin) / self.cell_h))
+        reach = search_reach(radius)
+        ix_lo = int(np.floor((x - reach - self.bbox.xmin) / self.cell_w))
+        ix_hi = int(np.floor((x + reach - self.bbox.xmin) / self.cell_w))
+        iy_lo = int(np.floor((y - reach - self.bbox.ymin) / self.cell_h))
+        iy_hi = int(np.floor((y + reach - self.bbox.ymin) / self.cell_h))
         ix_lo = min(max(ix_lo, 0), self.nx - 1)
         ix_hi = min(max(ix_hi, 0), self.nx - 1)
         iy_lo = min(max(iy_lo, 0), self.ny - 1)
@@ -142,21 +152,26 @@ class DynamicGridIndex:
                     found.extend(members)
         return np.asarray(found, dtype=np.int64)
 
-    def neighbor_distances(self, center, radius: float) -> np.ndarray:
-        """Unsorted distances to every live point within ``radius``.
+    def neighbor_d2(self, center, radius: float) -> np.ndarray:
+        """Unsorted squared distances to every live point within ``radius``.
 
-        Same candidate-then-exact-filter arithmetic as the static
-        ``GridIndex.neighbor_distances``, so the two agree bitwise on
-        identical contents (the streamed-equals-batch K contract).
+        Same candidate-then-:func:`~repro.geometry.distance.within`
+        arithmetic as the static :class:`GridIndex`, so the two agree
+        bitwise on identical contents (the streamed-equals-batch K
+        contract).  ``radius`` may be 0 (coincident points only).
         """
-        radius = check_positive(radius, "radius")
+        radius = check_non_negative(radius, "radius")
         x, y = float(center[0]), float(center[1])
         slots = self._candidate_slots(x, y, radius)
         if slots.size == 0:
             return np.empty(0, dtype=np.float64)
-        d2 = (self._xs[slots] - x) ** 2 + (self._ys[slots] - y) ** 2
-        d2 = d2[d2 <= radius * radius]
-        return np.sqrt(d2)
+        d2 = squared_norm(self._xs[slots] - x, self._ys[slots] - y)
+        return d2[within(d2, radius)]
+
+    def neighbor_distances(self, center, radius: float) -> np.ndarray:
+        """Unsorted distances to every live point within ``radius``."""
+        radius = check_positive(radius, "radius")
+        return np.sqrt(self.neighbor_d2(center, radius))
 
     def range_count(self, center, radius: float) -> int:
         """Number of live points within ``radius`` of ``center``."""

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_points, check_positive
+from .._validation import as_points, check_non_negative, check_positive
 from ..errors import ParameterError
 from ..geometry import BoundingBox
+from ..geometry.distance import search_reach, squared_norm, within
 
 __all__ = ["GridIndex"]
 
@@ -89,11 +90,12 @@ class GridIndex:
         return ix, iy
 
     def _candidate_slices(self, x: float, y: float, radius: float) -> list[tuple[int, int]]:
-        """CSR slices of every cell intersecting the disc of ``radius``."""
-        ix_lo = _axis_cell((x - radius - self.bbox.xmin) / self.cell_w)
-        ix_hi = _axis_cell((x + radius - self.bbox.xmin) / self.cell_w)
-        iy_lo = _axis_cell((y - radius - self.bbox.ymin) / self.cell_h)
-        iy_hi = _axis_cell((y + radius - self.bbox.ymin) / self.cell_h)
+        """CSR slices of every cell a point within ``radius`` can occupy."""
+        reach = search_reach(radius)
+        ix_lo = _axis_cell((x - reach - self.bbox.xmin) / self.cell_w)
+        ix_hi = _axis_cell((x + reach - self.bbox.xmin) / self.cell_w)
+        iy_lo = _axis_cell((y - reach - self.bbox.ymin) / self.cell_h)
+        iy_hi = _axis_cell((y + reach - self.bbox.ymin) / self.cell_h)
         # Clamp into the valid cell range (points outside the window were
         # clamped into boundary cells at build time, so boundary cells act
         # as half-open catch-alls; the exact distance filter removes any
@@ -128,25 +130,28 @@ class GridIndex:
         if pos.size == 0:
             return pos
         cand = self._sorted_points[pos]
-        d2 = (cand[:, 0] - x) ** 2 + (cand[:, 1] - y) ** 2
-        keep = d2 <= radius * radius
+        keep = within(squared_norm(cand[:, 0] - x, cand[:, 1] - y), radius)
         return self.order[pos[keep]]
 
     def range_count(self, center, radius: float) -> int:
         """Number of points within ``radius`` of ``center``."""
         return int(self.range_indices(center, radius).shape[0])
 
-    def neighbor_distances(self, center, radius: float) -> np.ndarray:
-        """Unsorted distances from ``center`` to every point within ``radius``."""
-        radius = check_positive(radius, "radius")
+    def neighbor_d2(self, center, radius: float) -> np.ndarray:
+        """Unsorted squared distances of every point within ``radius >= 0``."""
+        radius = check_non_negative(radius, "radius")
         x, y = float(center[0]), float(center[1])
         pos = self._candidates(x, y, radius)
         if pos.size == 0:
             return np.empty(0, dtype=np.float64)
         cand = self._sorted_points[pos]
-        d2 = (cand[:, 0] - x) ** 2 + (cand[:, 1] - y) ** 2
-        d2 = d2[d2 <= radius * radius]
-        return np.sqrt(d2)
+        d2 = squared_norm(cand[:, 0] - x, cand[:, 1] - y)
+        return d2[within(d2, radius)]
+
+    def neighbor_distances(self, center, radius: float) -> np.ndarray:
+        """Unsorted distances from ``center`` to every point within ``radius``."""
+        radius = check_positive(radius, "radius")
+        return np.sqrt(self.neighbor_d2(center, radius))
 
     def count_within(self, queries, radius: float) -> np.ndarray:
         """Vector of range counts for many query points at one radius."""
@@ -159,25 +164,21 @@ class GridIndex:
         """Counts for many queries at many (sorted) radii in one pass.
 
         Returns an ``(nq, nt)`` matrix: one grid walk per query at the
-        largest radius, then ``searchsorted`` distributes candidates over
-        thresholds.  This is the multi-threshold batching used by the
-        K-function plot.
+        largest radius, then ``searchsorted`` of the squared thresholds
+        distributes candidates over thresholds (the :func:`~repro.geometry.
+        distance.within` test per threshold).  This is the multi-threshold
+        batching used by the K-function plot.
         """
         q = as_points(queries, name="queries", allow_empty=True)
         ts = np.asarray(thresholds, dtype=np.float64).ravel()
         if ts.size == 0:
             raise ParameterError("thresholds must contain at least one value")
-        rmax = float(ts.max())
+        rmax = max(float(ts.max()), 0.0)
+        t2 = np.copysign(ts * ts, ts)  # a negative threshold admits nothing
         out = np.zeros((q.shape[0], ts.size), dtype=np.int64)
-        if rmax <= 0.0:
-            # Degenerate: only zero-distance neighbours count.
-            for i, row in enumerate(q):
-                d = self.neighbor_distances(row, max(rmax, np.finfo(float).tiny))
-                out[i, :] = np.searchsorted(np.sort(d), ts, side="right")
-            return out
         for i, row in enumerate(q):
-            d = np.sort(self.neighbor_distances(row, rmax))
-            out[i, :] = np.searchsorted(d, ts, side="right")
+            d2 = np.sort(self.neighbor_d2(row, rmax))
+            out[i, :] = np.searchsorted(d2, t2, side="right")
         return out
 
     def __len__(self) -> int:

@@ -26,8 +26,9 @@ import heapq
 
 import numpy as np
 
-from .._validation import as_points, as_weights, check_positive
+from .._validation import as_points, as_weights, check_non_negative, check_positive
 from ..errors import ParameterError
+from ..geometry.distance import squared_norm, within
 
 __all__ = ["KDTree"]
 
@@ -192,34 +193,49 @@ class KDTree:
         the distance to its farthest corner.  Both bound the distance to any
         point stored under the node.
         """
+        dx_min, dy_min, dx_max, dy_max = self._node_gaps(node, x, y)
+        return float(np.hypot(dx_min, dy_min)), float(np.hypot(dx_max, dy_max))
+
+    def _node_gaps(self, node: int, x: float, y: float) -> tuple[float, ...]:
+        """Per-axis (min, min, max, max) offsets from ``(x, y)`` to the box."""
         nmin = self.node_min[node]
         nmax = self.node_max[node]
-        dx_min = max(nmin[0] - x, 0.0, x - nmax[0])
-        dy_min = max(nmin[1] - y, 0.0, y - nmax[1])
-        dx_max = max(x - nmin[0], nmax[0] - x)
-        dy_max = max(y - nmin[1], nmax[1] - y)
-        return float(np.hypot(dx_min, dy_min)), float(np.hypot(dx_max, dy_max))
+        return (max(nmin[0] - x, 0.0, x - nmax[0]),
+                max(nmin[1] - y, 0.0, y - nmax[1]),
+                max(x - nmin[0], nmax[0] - x),
+                max(y - nmin[1], nmax[1] - y))
+
+    def _node_d2_bounds(self, node: int, x: float, y: float) -> tuple[float, float]:
+        """(min, max) :func:`squared_norm` from ``(x, y)`` over the node's box.
+
+        Float subtraction, squaring and addition are monotone, so every
+        point under the node has a squared norm between these two: pruning
+        on the first and bulk-accepting on the second give exactly the
+        answer of the per-point :func:`within` test.
+        """
+        dx_min, dy_min, dx_max, dy_max = self._node_gaps(node, x, y)
+        return (float(squared_norm(dx_min, dy_min)),
+                float(squared_norm(dx_max, dy_max)))
 
     # -- range queries -------------------------------------------------------
 
     def _range_positions(self, x: float, y: float, radius: float) -> np.ndarray:
         """Positions (into the reordered array) of points within ``radius``."""
-        r2 = radius * radius
         hits: list[np.ndarray] = []
         stack = [0]
         while stack:
             node = stack.pop()
-            dmin, dmax = self.node_bounds(node, x, y)
-            if dmin > radius:
+            d2min, d2max = self._node_d2_bounds(node, x, y)
+            if not within(d2min, radius):
                 continue
             start, stop = self.node_start[node], self.node_stop[node]
-            if dmax <= radius:
+            if within(d2max, radius):
                 hits.append(np.arange(start, stop))
                 continue
             if self.is_leaf(node):
                 block = self._sorted_points[start:stop]
-                d2 = (block[:, 0] - x) ** 2 + (block[:, 1] - y) ** 2
-                sel = np.flatnonzero(d2 <= r2) + start
+                d2 = squared_norm(block[:, 0] - x, block[:, 1] - y)
+                sel = np.flatnonzero(within(d2, radius)) + start
                 if sel.size:
                     hits.append(sel)
                 continue
@@ -240,21 +256,20 @@ class KDTree:
         """Number of points within ``radius``; whole-node hits are O(1)."""
         radius = check_positive(radius, "radius")
         x, y = float(center[0]), float(center[1])
-        r2 = radius * radius
         total = 0
         stack = [0]
         while stack:
             node = stack.pop()
-            dmin, dmax = self.node_bounds(node, x, y)
-            if dmin > radius:
+            d2min, d2max = self._node_d2_bounds(node, x, y)
+            if not within(d2min, radius):
                 continue
-            if dmax <= radius:
+            if within(d2max, radius):
                 total += self.node_count(node)
                 continue
             if self.is_leaf(node):
                 block = self.node_points(node)
-                d2 = (block[:, 0] - x) ** 2 + (block[:, 1] - y) ** 2
-                total += int(np.count_nonzero(d2 <= r2))
+                d2 = squared_norm(block[:, 0] - x, block[:, 1] - y)
+                total += int(np.count_nonzero(within(d2, radius)))
                 continue
             left, right = self.children(node)
             stack.append(left)
@@ -264,12 +279,17 @@ class KDTree:
     def neighbor_distances(self, center, radius: float) -> np.ndarray:
         """Unsorted distances to every point within ``radius`` of ``center``."""
         radius = check_positive(radius, "radius")
+        return np.sqrt(self.neighbor_d2(center, radius))
+
+    def neighbor_d2(self, center, radius: float) -> np.ndarray:
+        """Unsorted squared distances of every point within ``radius >= 0``."""
+        radius = check_non_negative(radius, "radius")
         x, y = float(center[0]), float(center[1])
         pos = self._range_positions(x, y, radius)
         if pos.size == 0:
             return np.empty(0, dtype=np.float64)
         block = self._sorted_points[pos]
-        return np.sqrt((block[:, 0] - x) ** 2 + (block[:, 1] - y) ** 2)
+        return squared_norm(block[:, 0] - x, block[:, 1] - y)
 
     def count_within_thresholds(self, queries, thresholds) -> np.ndarray:
         """(nq, nt) range counts at many sorted radii; one traversal each."""
@@ -277,13 +297,12 @@ class KDTree:
         ts = np.asarray(thresholds, dtype=np.float64).ravel()
         if ts.size == 0:
             raise ParameterError("thresholds must contain at least one value")
-        rmax = float(ts.max())
+        rmax = max(float(ts.max()), 0.0)
+        t2 = np.copysign(ts * ts, ts)  # a negative threshold admits nothing
         out = np.zeros((q.shape[0], ts.size), dtype=np.int64)
-        if rmax <= 0.0:
-            rmax = np.finfo(float).tiny
         for i, row in enumerate(q):
-            d = np.sort(self.neighbor_distances(row, rmax))
-            out[i, :] = np.searchsorted(d, ts, side="right")
+            d2 = np.sort(self.neighbor_d2(row, rmax))
+            out[i, :] = np.searchsorted(d2, t2, side="right")
         return out
 
     # -- nearest neighbours ----------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .._validation import as_points, check_positive
 from ..errors import ParameterError
+from ..geometry.distance import search_reach, squared_norm, within
 
 __all__ = ["RangeTree"]
 
@@ -144,9 +145,10 @@ class RangeTree:
         """
         radius = check_positive(radius, "radius")
         x, y = float(center[0]), float(center[1])
-        pad = radius * (1.0 + 1e-9) + 1e-300
+        pad = search_reach(radius)
         idx = self.rect_indices(x - pad, x + pad, y - pad, y + pad)
         if idx.size == 0:
             return 0
-        d2 = ((self.points[idx] - np.array([x, y])) ** 2).sum(axis=1)
-        return int(np.count_nonzero(d2 <= radius * radius))
+        cand = self.points[idx]
+        d2 = squared_norm(cand[:, 0] - x, cand[:, 1] - y)
+        return int(np.count_nonzero(within(d2, radius)))

@@ -8,7 +8,6 @@ convention of :meth:`repro.geometry.BoundingBox.pixel_centers`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,22 +46,6 @@ class DensityGrid:
         if not np.all(np.isfinite(arr)):
             raise DataError("density grid contains non-finite values")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def stats(self):
-        """Deprecated alias for the dual-tree ``RefinementStats`` record.
-
-        Use ``grid.diagnostics.records["refinement"]`` instead.
-        """
-        warnings.warn(
-            "DensityGrid.stats is deprecated; use "
-            "DensityGrid.diagnostics.records['refinement']",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self.diagnostics is None:
-            return None
-        return self.diagnostics.records.get("refinement")
 
     # -- shape ----------------------------------------------------------------
 

@@ -66,7 +66,6 @@ class ServeConfig:
     latency_window: int = 1024
     max_inflight: int | None = None
     workers: int | None = None
-    backend: str | None = None
 
     def resolve_inflight(self) -> int:
         """The admission-semaphore size this config means."""
@@ -213,8 +212,6 @@ class AnalyticsService:
                     dataset, zoom, bandwidth, kernel=kernel,
                     tile_px=self.config.tile_px,
                     dtype=np.dtype(dtype) if dtype is not None else None,
-                    workers=self.config.workers,
-                    backend=self.config.backend,
                 )
                 self._surfaces[key] = surface
                 self.stats.incr("surfaces.created")

@@ -1,9 +1,9 @@
 """Streaming-maintained KDV surfaces aligned to the serving tile lattice.
 
-Each :class:`MaintainedSurface` wraps one :class:`repro.stream.StreamingKDV`
+A :class:`MaintainedSurface` **is** a :class:`repro.stream.StreamingKDV`
 whose raster is ``tile_px * 2**zoom`` pixels square with a dirty-tile
-ledger of exactly ``tile_px``-pixel tiles — so the ledger lattice **is**
-the serving tile lattice, and "tile ``(tx, ty)`` is dirty" translates
+ledger of exactly ``tile_px``-pixel tiles — so the ledger lattice is the
+serving tile lattice, and "tile ``(tx, ty)`` is dirty" translates
 one-for-one into "evict cache key ``(tx, ty)``".  That alignment is the
 whole trick behind streaming-driven invalidation: an ingest batch
 touches the kernel patches of its new events only, the ledger compares
@@ -24,7 +24,6 @@ import numpy as np
 
 from ..errors import ParameterError, ServeError
 from ..geometry import BoundingBox
-from ..raster import DensityGrid
 from ..stream import StreamDelta, StreamingKDV
 
 __all__ = ["MaintainedSurface"]
@@ -33,7 +32,7 @@ _EMPTY_POINTS = np.empty((0, 2), dtype=np.float64)
 _EMPTY_TIMES = np.empty(0, dtype=np.float64)
 
 
-class MaintainedSurface:
+class MaintainedSurface(StreamingKDV):
     """One dataset's KDV pyramid level, kept current by ingest deltas.
 
     Parameters
@@ -47,47 +46,27 @@ class MaintainedSurface:
     bandwidth, kernel, dtype:
         KDV parameters, fixed for the surface's lifetime — the service
         keys surfaces by them.
-    workers, backend:
-        Forwarded to the streaming KDV for its (dormant) re-scatter path.
+    tile_px:
+        Tile side in pixels; it is the dirty-tile ledger's ``tile``.
     """
 
     def __init__(self, dataset, zoom: int, bandwidth: float,
-                 kernel: str = "quartic", tile_px: int = 64,
-                 dtype=None, workers: int | None = None,
-                 backend: str | None = None):
+                 kernel: str = "quartic", tile_px: int = 64, dtype=None):
         zoom = int(zoom)
         if zoom < 0:
             raise ParameterError(f"zoom must be >= 0, got {zoom}")
         tile_px = int(tile_px)
         if tile_px < 1:
             raise ParameterError(f"tile_px must be positive, got {tile_px}")
-        self.zoom = zoom
-        self.tile_px = tile_px
         npx = tile_px * (2 ** zoom)
-        self._kdv = StreamingKDV(
+        super().__init__(
             dataset.bbox, (npx, npx), bandwidth, kernel=kernel,
             tile=tile_px, rescatter_ratio=None,
             dtype=np.float64 if dtype is None else dtype,
-            workers=workers, backend=backend,
         )
+        self.zoom = zoom
         self._lock = threading.Lock()
-        self._scattered = 0  # dataset points already on the surface
         self._version = -1   # dataset version last synced (-1 = never)
-
-    @property
-    def npx(self) -> int:
-        """Raster side length in pixels (``tile_px * 2**zoom``)."""
-        return self._kdv.nx
-
-    @property
-    def tiles_per_side(self) -> int:
-        """Tile lattice side length (``2**zoom``)."""
-        return self._kdv.ledger.tiles_nx
-
-    @property
-    def bandwidth(self) -> float:
-        """The fixed KDV bandwidth of this surface."""
-        return self._kdv.bandwidth
 
     def sync(self, dataset) -> tuple[tuple[int, int], ...]:
         """Scatter any dataset points this surface has not seen yet.
@@ -102,25 +81,23 @@ class MaintainedSurface:
         with self._lock:
             if dataset.version == self._version:
                 return ()
-            new_pts, new_ts = dataset.points_since(self._scattered)
-            delta = StreamDelta(
+            # Append-only: the points on the surface are a dataset prefix.
+            new_pts, new_ts = dataset.points_since(self.n_points)
+            self.apply(StreamDelta(
                 entered_points=np.asarray(new_pts, dtype=np.float64),
                 entered_times=np.asarray(new_ts, dtype=np.float64),
                 left_points=_EMPTY_POINTS,
                 left_times=_EMPTY_TIMES,
                 window=dataset,
-            )
-            self._kdv.apply(delta)
-            self._scattered += int(new_pts.shape[0])
+            ))
             self._version = dataset.version
-            ledger = self._kdv.ledger
-            dirty = ledger.dirty_tiles()
-            ledger.clear_dirty()
+            dirty = self.ledger.dirty_tiles()
+            self.ledger.clear_dirty()
             return dirty
 
     def tile_bounds_px(self, tx: int, ty: int) -> tuple[int, int, int, int]:
         """Pixel bounds of tile ``(tx, ty)``; bad addresses raise 404s."""
-        ledger = self._kdv.ledger
+        ledger = self.ledger
         if not (0 <= tx < ledger.tiles_nx and 0 <= ty < ledger.tiles_ny):
             raise ServeError(
                 f"tile ({tx}, {ty}) outside the "
@@ -132,11 +109,10 @@ class MaintainedSurface:
     def tile_bbox(self, tx: int, ty: int) -> BoundingBox:
         """Geographic extent of tile ``(tx, ty)``."""
         x0, x1, y0, y1 = self.tile_bounds_px(tx, ty)
-        bbox = self._kdv.bbox
-        dx, dy = bbox.pixel_size(self._kdv.nx, self._kdv.ny)
+        dx, dy = self.bbox.pixel_size(self.nx, self.ny)
         return BoundingBox(
-            bbox.xmin + x0 * dx, bbox.ymin + y0 * dy,
-            bbox.xmin + x1 * dx, bbox.ymin + y1 * dy,
+            self.bbox.xmin + x0 * dx, self.bbox.ymin + y0 * dy,
+            self.bbox.xmin + x1 * dx, self.bbox.ymin + y1 * dy,
         )
 
     def tile_values(self, tx: int, ty: int) -> np.ndarray:
@@ -148,20 +124,5 @@ class MaintainedSurface:
         """
         x0, x1, y0, y1 = self.tile_bounds_px(tx, ty)
         with self._lock:
-            view = self._kdv.accumulator.surface_view(0)
+            view = self.accumulator.surface_view(0)
             return np.maximum(view[x0:x1, y0:y1], 0.0)
-
-    def tile_grid(self, tx: int, ty: int) -> DensityGrid:
-        """Tile ``(tx, ty)`` as a standalone :class:`DensityGrid`."""
-        return DensityGrid(self.tile_bbox(tx, ty), self.tile_values(tx, ty))
-
-    def grid(self) -> DensityGrid:
-        """The full surface as a :class:`DensityGrid` (diagnostics attached)."""
-        with self._lock:
-            return self._kdv.snapshot()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MaintainedSurface(zoom={self.zoom}, {self.npx}px, "
-            f"b={self.bandwidth:g}, synced_version={self._version})"
-        )

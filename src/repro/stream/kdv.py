@@ -1,7 +1,9 @@
 """Delta-maintained KDV surface with drift control and a dirty-tile ledger.
 
-:class:`StreamingKDV` promotes the exact cutoff-scatter accumulator
-(:class:`repro.core.kdv.KDVAccumulator`) into a window-driven analytic:
+:class:`StreamingKDV` is the library's one maintained KDV surface.  It
+drives a single-surface, unit-weight
+:class:`repro.core.kdv.MultiSurfaceAccumulator` (the exact cutoff-scatter
+substrate) as a window-driven analytic:
 
 * each :class:`~repro.stream.StreamDelta` costs one kernel patch per
   entering/leaving event — the delta cost model — instead of one full
@@ -24,7 +26,7 @@ import numpy as np
 
 from .. import obs
 from .._validation import check_positive
-from ..core.kdv import KDVAccumulator
+from ..core.kdv import MultiSurfaceAccumulator
 from ..core.kernels import Kernel
 from ..errors import ParameterError
 from ..geometry import BoundingBox
@@ -103,10 +105,6 @@ class DirtyTileLedger:
         """Clear every dirty flag (the partner of :meth:`dirty_tiles`)."""
         self._dirty[:] = False
 
-    def clear(self) -> None:
-        """Clear every dirty flag."""
-        self._dirty[:] = False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DirtyTileLedger({self.tiles_nx}x{self.tiles_ny} tiles of "
@@ -120,19 +118,22 @@ class StreamingKDV:
     Parameters
     ----------
     bbox, size, bandwidth, kernel, tail, dtype:
-        Forwarded to the underlying :class:`KDVAccumulator` (fixed
-        window, lattice, kernel and bandwidth for the analytic's
-        lifetime).
+        Forwarded to the underlying single-surface
+        :class:`~repro.core.kdv.MultiSurfaceAccumulator` (fixed window,
+        lattice, kernel and bandwidth for the analytic's lifetime).
     tile:
-        Side length in pixels of the dirty-tile lattice.
+        Side length in pixels of the dirty-tile lattice; a subclass that
+        serves map tiles sets it to the tile size so dirty tiles are
+        cache keys (:class:`repro.serve.MaintainedSurface`).
     rescatter_ratio:
         Drift policy: when ``gross_weight / net_weight`` reaches this
         ratio the surface is rebuilt from the live window contents and
         the drift clock restarts.  ``None`` disables automatic
         re-scatter (the drift gauges remain available).
     workers, backend:
-        Forwarded to :meth:`KDVAccumulator.rescatter` — the rebuild is
-        chunk-parallel and bit-identical for every combination.
+        Forwarded to :meth:`MultiSurfaceAccumulator.rescatter` — the
+        rebuild is chunk-parallel and bit-identical for every
+        combination.
 
     Register with a :class:`~repro.stream.StreamEngine` (or call
     :meth:`apply` with deltas directly); read the current surface with
@@ -152,8 +153,9 @@ class StreamingKDV:
         workers: int | None = None,
         backend: str | None = None,
     ):
-        self._acc = KDVAccumulator(
-            bbox, size, bandwidth, kernel=kernel, tail=tail, dtype=dtype
+        self._acc = MultiSurfaceAccumulator(
+            bbox, size, bandwidth, kernel=kernel, n_surfaces=1, tail=tail,
+            dtype=dtype,
         )
         self.bbox = self._acc.bbox
         self.nx = self._acc.nx
@@ -175,7 +177,7 @@ class StreamingKDV:
         self.rescatters = 0
 
     @property
-    def accumulator(self) -> KDVAccumulator:
+    def accumulator(self) -> MultiSurfaceAccumulator:
         """The underlying accumulator (drift gauges, raw surface access)."""
         return self._acc
 
@@ -227,9 +229,13 @@ class StreamingKDV:
             for x0, x1, y0, y1 in (self.ledger.bounds(*t) for t in candidates)
         ]
         if delta.n_entered:
-            self._acc.add(delta.entered_points)
+            self._acc.add_weighted(
+                delta.entered_points, np.ones((delta.n_entered, 1))
+            )
         if delta.n_left:
-            self._acc.remove(delta.left_points)
+            self._acc.remove_weighted(
+                delta.left_points, np.ones((delta.n_left, 1))
+            )
         dirtied = self._compare_and_mark(candidates, before)
         n_applied = delta.n_entered + delta.n_left
         self.events_applied += n_applied
@@ -290,7 +296,8 @@ class StreamingKDV:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"StreamingKDV(n={self.n_points}, grid={self.nx}x{self.ny}, "
+            f"{type(self).__name__}(n={self.n_points}, "
+            f"grid={self.nx}x{self.ny}, "
             f"b={self.bandwidth:g}, drift={self._acc.drift_ratio:.2f}, "
             f"rescatters={self.rescatters})"
         )

@@ -34,6 +34,7 @@ from .._validation import check_thresholds
 from ..core.kfunction import ripley_normalize
 from ..errors import ParameterError
 from ..geometry import BoundingBox
+from ..geometry.distance import squared_norm, within
 from ..index import DynamicGridIndex
 from ..obs import Diagnostics
 from ..parallel import parallel_starmap
@@ -52,10 +53,11 @@ def _query_chunk(
 ) -> np.ndarray:
     """Summed multi-threshold counts of one query chunk (worker callable)."""
     rmax = float(ts[-1])
+    t2 = ts * ts
     out = np.zeros(ts.shape[0], dtype=np.int64)
     for row in pts:
-        d = np.sort(index.neighbor_distances(row, rmax))
-        out += np.searchsorted(d, ts, side="right")
+        d2 = np.sort(index.neighbor_d2(row, rmax))
+        out += np.searchsorted(d2, t2, side="right")
     return out
 
 
@@ -152,11 +154,12 @@ class StreamingKFunction:
         if n < 2:
             return np.zeros(self.thresholds.shape[0], dtype=np.int64)
         iu = np.triu_indices(n, k=1)
-        d2 = (pts[iu[0], 0] - pts[iu[1], 0]) ** 2 \
-            + (pts[iu[0], 1] - pts[iu[1], 1]) ** 2
-        d2 = d2[d2 <= self._rmax * self._rmax]
-        d = np.sort(np.sqrt(d2))
-        return np.searchsorted(d, self.thresholds, side="right").astype(np.int64)
+        d2 = squared_norm(pts[iu[0], 0] - pts[iu[1], 0],
+                          pts[iu[0], 1] - pts[iu[1], 1])
+        d2 = np.sort(d2[within(d2, self._rmax)])
+        return np.searchsorted(
+            d2, self.thresholds * self.thresholds, side="right"
+        ).astype(np.int64)
 
     def apply(self, delta: StreamDelta) -> "StreamingKFunction":
         """Subtract the leaving events' pairs, add the entering events'."""

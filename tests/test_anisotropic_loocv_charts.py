@@ -5,7 +5,8 @@ import pytest
 
 from repro.bench import ascii_chart
 from repro.core.interpolation import VariogramModel, fit_variogram, loocv_kriging
-from repro.core.kdv import KDVProblem, kde_grid_anisotropic, kde_naive
+from repro.core.kdv import KDVProblem, kde_grid_anisotropic
+from repro.core.kdv.naive import kde_naive
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.index import GridIndex
+from repro.geometry import BoundingBox
+from repro.index import DynamicGridIndex, GridIndex, KDTree
 
 
 def brute_indices(points, center, radius):
@@ -88,3 +89,56 @@ class TestGridIndexConstruction:
         index = GridIndex(random_points, cell_size=1.0)
         with pytest.raises(ParameterError):
             index.count_within_thresholds(random_points[:2], [])
+
+
+class TestNeighborD2:
+    """``neighbor_d2`` is public on every index that has it: radius >= 0."""
+
+    @staticmethod
+    def _indexes(pts):
+        dyn = DynamicGridIndex(BoundingBox(0.0, 0.0, 20.0, 12.0), 1.0)
+        for x, y in pts:
+            dyn.insert(x, y)
+        return GridIndex(pts, cell_size=1.0), KDTree(pts), dyn
+
+    def test_negative_radius_rejected(self, random_points):
+        for index in self._indexes(random_points):
+            with pytest.raises(ParameterError, match="radius"):
+                index.neighbor_d2((5.0, 5.0), -1.0)
+
+    def test_zero_radius_finds_coincident_points(self):
+        pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        for index in self._indexes(pts):
+            assert index.neighbor_d2((1.0, 1.0), 0.0).tolist() == [0.0, 0.0]
+
+    def test_matches_neighbor_distances(self, random_points):
+        for index in self._indexes(random_points):
+            d2 = np.sort(index.neighbor_d2((5.0, 5.0), 2.5))
+            d = np.sort(index.neighbor_distances((5.0, 5.0), 2.5))
+            np.testing.assert_array_equal(np.sqrt(d2), d)
+
+
+class TestDynamicGridTinyCells:
+    def test_tiny_cell_size_caps_the_lattice(self):
+        index = DynamicGridIndex(BoundingBox(0.0, 0.0, 1.0, 1.0), 1e-160)
+        assert index.nx == index.ny == 1 << 20
+        for x, y in [(0.0, 0.0), (1e-170, 0.0), (0.5, 0.5), (1.0, 1.0)]:
+            index.insert(x, y)
+        assert index.range_count((0.0, 0.0), 1e-160) == 2
+        assert index.range_count((0.5, 0.5), 1e-160) == 1
+
+    def test_cells_smaller_than_the_search_reach(self):
+        # Cells widen to the search reach (at least 2**-510), so a query
+        # scans a few cells rather than the whole capped lattice.
+        index = DynamicGridIndex(BoundingBox(0.0, 0.0, 1e-300, 1e-300), 1e-310)
+        assert index.nx == index.ny == 1
+        pts = [(0.0, 0.0), (0.0, 0.0), (5e-301, 5e-301), (1e-300, 0.0)]
+        for x, y in pts:
+            index.insert(x, y)
+        static = GridIndex(np.array(pts), cell_size=1e-310)
+        for center in pts:
+            for radius in (0.0, 1e-310, 1e-300):
+                np.testing.assert_array_equal(
+                    np.sort(index.neighbor_d2(center, radius)),
+                    np.sort(static.neighbor_d2(center, radius)),
+                )

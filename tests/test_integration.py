@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.kdv import KDVAccumulator
+from repro.core.kdv import MultiSurfaceAccumulator
 from repro.core.nkdv import nkdv
 from repro.data import (
     hawkes_st,
@@ -102,15 +102,17 @@ class TestEpidemicWorkflow:
         )
         assert plot.observed.shape == (2, 2)
 
-        acc = KDVAccumulator(bbox, (32, 32), bandwidth=1.0)
+        acc = MultiSurfaceAccumulator(bbox, (32, 32), bandwidth=1.0)
         half = int(np.searchsorted(times, 30.0))
-        acc.add(pts[:half])
-        first_grid = acc.grid()
-        acc.add(pts[half:]).remove(pts[:half])
-        second_grid = acc.grid()
+        early, late = pts[:half], pts[half:]
+        acc.add_weighted(early, np.ones((half, 1)))
+        first_grid = acc.surface(0)
+        acc.add_weighted(late, np.ones((late.shape[0], 1)))
+        acc.remove_weighted(early, np.ones((half, 1)))
+        second_grid = acc.surface(0)
         assert acc.n_points == pts.shape[0] - half
         # The two windows describe different epochs of the epidemic.
-        assert first_grid.values.sum() != pytest.approx(second_grid.values.sum())
+        assert first_grid.sum() != pytest.approx(second_grid.sum())
 
 
 class TestInterpolationWorkflow:

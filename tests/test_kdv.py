@@ -8,15 +8,15 @@ from repro.core.kdv import (
     effective_radius,
     kde_bounds,
     kde_grid,
-    kde_gridcut,
-    kde_naive,
-    kde_parallel,
     kde_sampling,
-    kde_sweep,
     sample_size,
     scott_bandwidth,
     silverman_bandwidth,
 )
+from repro.core.kdv.gridcut import kde_gridcut
+from repro.core.kdv.naive import kde_naive
+from repro.core.kdv.parallel import kde_parallel
+from repro.core.kdv.sweep import kde_sweep
 from repro.core.kernels import KERNELS
 from repro.errors import DataError, ParameterError
 

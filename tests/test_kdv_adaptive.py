@@ -8,11 +8,11 @@ from repro.core.kdv import (
     adaptive_bandwidths,
     kde_adaptive,
     kde_grid,
-    kde_naive,
     lscv_bandwidth,
     lscv_score,
     scott_bandwidth,
 )
+from repro.core.kdv.naive import kde_naive
 from repro.data import csr, thomas
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kdv import KDVProblem, RefinementStats, kde_dualtree, kde_grid, kde_naive
+from repro.core.kdv import KDVProblem, RefinementStats, kde_dualtree, kde_grid
+from repro.core.kdv.naive import kde_naive
 from repro.core.kernels import KERNELS
 from repro.errors import ParameterError
 
@@ -187,14 +188,6 @@ class TestRefinementStats:
         grid = kde_naive(problem)
         diag = grid.diagnostics
         assert diag is None or diag.records.get("refinement") is None
-
-    def test_deprecated_stats_alias(self, small_points, bbox):
-        """`DensityGrid.stats` still works but warns; use `.diagnostics`."""
-        problem = KDVProblem(small_points, bbox, SIZE, BW, "quartic")
-        grid = kde_dualtree(problem, tau=0.1)
-        with pytest.warns(DeprecationWarning, match="diagnostics"):
-            s = grid.stats
-        assert s is grid.diagnostics.records["refinement"]
 
     def test_survives_normalize(self, clustered_points, bbox):
         grid = kde_grid(

@@ -2,7 +2,6 @@
 
 import json
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import pytest
 import repro
 from repro import obs
 from repro.core.kfunction import NetworkKResult, STKResult
-from repro.raster import DensityGrid
 
 
 class TestCollector:
@@ -216,17 +214,6 @@ class TestStopwatch:
         with sw:
             pass
         assert sw.seconds >= first >= 0.0
-
-
-class TestDensityGridStatsAlias:
-    def test_stats_none_without_diagnostics(self):
-        from repro.geometry import BoundingBox
-
-        grid = DensityGrid(BoundingBox(0, 0, 1, 1), np.zeros((4, 4)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning):
-                grid.stats
 
 
 class TestKCountResults:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.kdv import KDVProblem, kde_gridcut, kde_naive, kde_sweep
+from repro.core.kdv import KDVProblem
+from repro.core.kdv.gridcut import kde_gridcut
+from repro.core.kdv.naive import kde_naive
+from repro.core.kdv.sweep import kde_sweep
 from repro.core.kernels import KERNELS
 from repro.core.kfunction import k_function, st_k_function
 from repro.geometry import BoundingBox, pairwise_distances
@@ -29,6 +32,10 @@ def points_and_query(draw):
     return pts, q, r
 
 
+#: A point just outside r under ``d2 <= r*r`` but at hypot distance r.
+BOUNDARY_ULP = (np.array([[1e-10, 0.0]]), (0.0, 0.01), 0.01)
+
+
 def brute_range(points, q, r):
     d2 = ((points - np.asarray(q)) ** 2).sum(axis=1)
     return set(np.flatnonzero(d2 <= r * r).tolist())
@@ -43,6 +50,9 @@ class TestIndexProperties:
         assert set(index.range_indices(q, r).tolist()) == brute_range(pts, q, r)
 
     @given(points_and_query())
+    # The squared distance rounds one ulp above r*r while the unsquared
+    # hypot rounds to exactly r: node bounds must use the squared test.
+    @example(BOUNDARY_ULP)
     @settings(max_examples=60, deadline=None)
     def test_kdtree_matches_brute(self, data):
         pts, q, r = data
@@ -51,6 +61,7 @@ class TestIndexProperties:
         assert tree.range_count(q, r) == len(brute_range(pts, q, r))
 
     @given(points_and_query())
+    @example(BOUNDARY_ULP)
     @settings(max_examples=60, deadline=None)
     def test_balltree_matches_brute(self, data):
         pts, q, r = data
@@ -127,6 +138,9 @@ class TestKFunctionProperties:
         points_strategy,
         st.lists(st.floats(min_value=0.0, max_value=150.0), min_size=1, max_size=6),
     )
+    # Both the squared distance and t*t underflow to 0, so every method
+    # counts the pair; the grid must search past its tiny cells to see it.
+    @example(np.array([[1.47e-168, 0.0], [0.0, 0.0]]), [1.7e-186])
     @settings(max_examples=40, deadline=None)
     def test_methods_agree(self, pts, raw_ts):
         ts = np.sort(np.asarray(raw_ts))

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.autocorrelation import fdr_mask
-from repro.core.kdv import KDVAccumulator, KDVProblem, kde_dualtree, kde_gridcut, kde_naive
+from repro.core.kdv import KDVProblem, MultiSurfaceAccumulator, kde_dualtree
+from repro.core.kdv.gridcut import kde_gridcut
+from repro.core.kdv.naive import kde_naive
 from repro.core.kfunction import cross_k_function
 from repro.geometry import BoundingBox, Polygon
 from repro.index import RangeTree
 from repro.network import RoadNetwork, node_distances
+from repro.raster import DensityGrid
 
 coord = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False, width=64)
 points_strategy = arrays(
@@ -55,6 +58,15 @@ class TestRangeTreeProperties:
         )
 
 
+def _unit_weights(pts):
+    return np.ones((pts.shape[0], 1))
+
+
+def _grid(acc):
+    """Surface 0 clipped at zero, as a ``DensityGrid``."""
+    return DensityGrid(acc.bbox, np.maximum(acc.surface(0), 0.0))
+
+
 class TestAccumulatorProperties:
     @given(
         points_strategy,
@@ -65,27 +77,27 @@ class TestAccumulatorProperties:
         """add(all) then remove(first k) == batch KDV of the suffix."""
         k = min(k, pts.shape[0])
         bbox = BoundingBox(-30.0, -30.0, 30.0, 30.0)
-        acc = KDVAccumulator(bbox, (10, 8), 4.0, kernel="epanechnikov")
-        acc.add(pts)
-        acc.remove(pts[:k])
+        acc = MultiSurfaceAccumulator(bbox, (10, 8), 4.0, kernel="epanechnikov")
+        acc.add_weighted(pts, _unit_weights(pts))
+        acc.remove_weighted(pts[:k], _unit_weights(pts[:k]))
         suffix = pts[k:]
         if suffix.shape[0] == 0:
-            assert acc.grid().max == 0.0
+            assert _grid(acc).max == 0.0
             return
         batch = kde_gridcut(
             KDVProblem(suffix, bbox, (10, 8), 4.0, "epanechnikov")
         )
-        assert acc.grid().max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
+        assert _grid(acc).max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
 
     @given(points_strategy)
     @settings(max_examples=30, deadline=None)
     def test_order_of_addition_irrelevant(self, pts):
         bbox = BoundingBox(-30.0, -30.0, 30.0, 30.0)
-        a = KDVAccumulator(bbox, (8, 8), 5.0)
-        b = KDVAccumulator(bbox, (8, 8), 5.0)
-        a.add(pts)
-        b.add(pts[::-1])
-        assert a.grid().max_abs_difference(b.grid()) < 1e-9 * max(a.grid().max, 1.0)
+        a = MultiSurfaceAccumulator(bbox, (8, 8), 5.0)
+        b = MultiSurfaceAccumulator(bbox, (8, 8), 5.0)
+        a.add_weighted(pts, _unit_weights(pts))
+        b.add_weighted(pts[::-1], _unit_weights(pts))
+        assert _grid(a).max_abs_difference(_grid(b)) < 1e-9 * max(_grid(a).max, 1.0)
 
 
 class TestDualTreeProperty:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kdv import KDVAccumulator, KDVProblem, kde_dualtree, kde_grid, kde_naive
+from repro.core.kdv import KDVProblem, MultiSurfaceAccumulator, kde_dualtree, kde_grid
+from repro.core.kdv.naive import kde_naive
 from repro.core.kdv.base import effective_radius
 from repro.core.kernels import KERNELS, build_kernel_table, get_kernel
 from repro.core.scatter import (
@@ -191,15 +192,17 @@ class TestFloat64BitIdentity:
 
         # From an empty surface, add+remove of the same batch is exact:
         # 0 + p is bitwise p, and p - p is bitwise 0 for every patch pixel.
-        empty = KDVAccumulator(BBOX, (20, 20), 1.2)
-        empty.add(second).remove(second)
+        ones = np.ones((25, 1))
+        empty = MultiSurfaceAccumulator(BBOX, (20, 20), 1.2)
+        empty.add_weighted(second, ones).remove_weighted(second, ones)
         assert np.array_equal(empty.surface(0), np.zeros((20, 20)))
 
         # With prior mass the round trip only rounds in the last ulp
         # ((a + p) - p need not equal a in floats) — same behaviour as the
         # historical per-point loop, so a tight allclose is the contract.
-        acc = KDVAccumulator(BBOX, (20, 20), 1.2)
-        acc.add(first).add(second).remove(second)
+        acc = MultiSurfaceAccumulator(BBOX, (20, 20), 1.2)
+        acc.add_weighted(first, np.ones((40, 1)))
+        acc.add_weighted(second, ones).remove_weighted(second, ones)
         ref = legacy_scatter(
             np.zeros((1, 20, 20)), first, np.ones((40, 1)), BBOX, (20, 20),
             1.2, get_kernel("quartic"),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.autocorrelation import local_gi_star
-from repro.core.kdv import KDVAccumulator
+from repro.core.kdv import MultiSurfaceAccumulator, kde_grid
 from repro.core.kfunction import ripley_k
 from repro.data import hawkes_stream
 from repro.errors import DataError, ParameterError
@@ -127,8 +127,9 @@ class TestStreamingKDVEqualsBatch:
         eng.register("kdv", kdv)
         for c0 in range(0, 2000, 100):
             eng.push(pts[c0:c0 + 100], ts[c0:c0 + 100])
-        fresh = KDVAccumulator(BBOX, (96, 64), 1.5).add(eng.window.points)
-        diff = np.abs(kdv.accumulator.surface(0) - fresh.surface(0)).max()
+        fresh = kde_grid(eng.window.points, BBOX, (96, 64), 1.5,
+                         method="grid").values
+        diff = np.abs(kdv.accumulator.surface(0) - fresh).max()
         assert diff <= kdv.accumulator.drift_tolerance
 
     def test_drift_policy_triggers_rescatter_and_restores_identity(self):
@@ -144,8 +145,9 @@ class TestStreamingKDVEqualsBatch:
         # The window (300 events) fits a single rescatter chunk, so the
         # most recent rebuild is bit-identical to a fresh serial add --
         # drift since then is only the post-rescatter pushes.
-        fresh = KDVAccumulator(BBOX, (64, 48), 1.5).add(eng.window.points)
-        diff = np.abs(kdv.accumulator.surface(0) - fresh.surface(0)).max()
+        fresh = kde_grid(eng.window.points, BBOX, (64, 48), 1.5,
+                         method="grid").values
+        diff = np.abs(kdv.accumulator.surface(0) - fresh).max()
         assert diff <= kdv.accumulator.drift_tolerance
 
     def test_snapshot_diagnostics_and_staleness(self):
@@ -292,6 +294,23 @@ class TestStreamingKFunctionEqualsBatch:
             eng.push(pts, ts)
         np.testing.assert_array_equal(serial.counts, threaded.counts)
 
+    def test_tiny_threshold_push_matches_batch(self):
+        # Cells of 1e-160 are far smaller than the candidate search reach,
+        # so each query spans millions of (mostly empty) lattice cells.
+        bbox = repro.BoundingBox(0.0, 0.0, 1.0, 1.0)
+        thresholds = [1e-160]
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1e-170, 0.0],
+                        [0.0, 5e-161], [0.0, 2e-160], [0.5, 0.5]])
+        eng = StreamEngine(StreamWindow(capacity=10))
+        kf = StreamingKFunction(bbox, thresholds)
+        eng.register("k", kf)
+        eng.push(pts, np.arange(len(pts), dtype=np.float64))
+        batch = ripley_k(pts, thresholds, bbox, method="grid")
+        np.testing.assert_array_equal(kf.snapshot().k, batch)
+        np.testing.assert_array_equal(
+            kf.counts, repro.k_function(pts, np.asarray(thresholds),
+                                        method="naive"))
+
     def test_rejects_zero_rmax_and_underflow(self):
         with pytest.raises(ParameterError):
             StreamingKFunction(BBOX, [0.0])
@@ -322,18 +341,19 @@ class TestDeterminism:
         w = np.ones((9000, 1))
         banks = []
         for workers in (1, 2):
-            acc = KDVAccumulator(BBOX, (64, 48), 1.5)
+            acc = MultiSurfaceAccumulator(BBOX, (64, 48), 1.5)
             acc.rescatter(pts, w, workers=workers, backend="thread")
             banks.append(acc.surface(0))
         np.testing.assert_array_equal(banks[0], banks[1])
 
     def test_single_chunk_rescatter_equals_fresh_add(self):
         pts, _ = feed(800, seed=25)
-        acc = KDVAccumulator(BBOX, (64, 48), 1.5)
-        acc.add(pts[:500]).remove(pts[:200])
+        acc = MultiSurfaceAccumulator(BBOX, (64, 48), 1.5)
+        acc.add_weighted(pts[:500], np.ones((500, 1)))
+        acc.remove_weighted(pts[:200], np.ones((200, 1)))
         acc.rescatter(pts[200:500], np.ones((300, 1)))
-        fresh = KDVAccumulator(BBOX, (64, 48), 1.5).add(pts[200:500])
-        np.testing.assert_array_equal(acc.surface(0), fresh.surface(0))
+        fresh = kde_grid(pts[200:500], BBOX, (64, 48), 1.5, method="grid").values
+        np.testing.assert_array_equal(acc.surface(0), fresh)
 
 
 @st.composite

@@ -3,80 +3,102 @@
 import numpy as np
 import pytest
 
-from repro.core.kdv import (
-    KDVAccumulator,
-    KDVProblem,
-    MultiSurfaceAccumulator,
-    kde_gridcut,
-)
+from repro.core.kdv import KDVProblem, MultiSurfaceAccumulator, kde_grid
+from repro.core.kdv.gridcut import kde_gridcut
 from repro.data import hawkes_st
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
 from repro.raster import DensityGrid, contour_polylines, contour_segments
 
 
+def _acc(bbox, size, bandwidth, **kwargs):
+    """A single-surface accumulator: the substrate of ``StreamingKDV``."""
+    return MultiSurfaceAccumulator(bbox, size, bandwidth, n_surfaces=1, **kwargs)
+
+
+def _add(acc, points):
+    """Insert ``points`` with unit weight (returns ``acc`` for chaining)."""
+    return acc.add_weighted(points, np.ones((len(points), 1)))
+
+
+def _remove(acc, points):
+    """Remove previously-inserted unit-weight ``points``."""
+    return acc.remove_weighted(points, np.ones((len(points), 1)))
+
+
+def _grid(acc):
+    """Surface 0 clipped at zero, as a ``DensityGrid``."""
+    return DensityGrid(acc.bbox, np.maximum(acc.surface(0), 0.0))
+
+
 class TestKDVAccumulator:
+    """Unit-weight add/remove on one surface, as ``StreamingKDV`` drives it."""
+
     SIZE = (24, 16)
 
     def test_add_matches_batch(self, clustered_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
-        acc.add(clustered_points)
+        acc = _acc(bbox, self.SIZE, 1.5)
+        _add(acc, clustered_points)
         batch = kde_gridcut(KDVProblem(clustered_points, bbox, self.SIZE, 1.5, "quartic"))
-        assert acc.grid().max_abs_difference(batch) < 1e-10 * max(batch.max, 1.0)
+        assert _grid(acc).max_abs_difference(batch) < 1e-10 * max(batch.max, 1.0)
 
     def test_incremental_adds_match(self, clustered_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = _acc(bbox, self.SIZE, 1.5)
         half = clustered_points.shape[0] // 2
-        acc.add(clustered_points[:half]).add(clustered_points[half:])
+        _add(_add(acc, clustered_points[:half]), clustered_points[half:])
         batch = kde_gridcut(KDVProblem(clustered_points, bbox, self.SIZE, 1.5, "quartic"))
-        assert acc.grid().max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
+        assert _grid(acc).max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
 
     def test_remove_undoes_add(self, clustered_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = _acc(bbox, self.SIZE, 1.5)
         keep = clustered_points[:300]
         extra = clustered_points[300:]
-        acc.add(clustered_points)
-        acc.remove(extra)
+        _add(acc, clustered_points)
+        _remove(acc, extra)
         batch = kde_gridcut(KDVProblem(keep, bbox, self.SIZE, 1.5, "quartic"))
-        assert acc.grid().max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
+        assert _grid(acc).max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
         assert acc.n_points == 300
 
     def test_sliding_window_equivalence(self, bbox, rng):
         """Window [t-w, t] maintained by add/remove equals the batch KDV."""
         pts = bbox.sample_uniform(200, rng)
-        acc = KDVAccumulator(bbox, self.SIZE, 2.0, kernel="epanechnikov")
-        acc.add(pts[:120])
-        acc.remove(pts[:40])
-        acc.add(pts[120:])
+        acc = _acc(bbox, self.SIZE, 2.0, kernel="epanechnikov")
+        _add(acc, pts[:120])
+        _remove(acc, pts[:40])
+        _add(acc, pts[120:])
         window = pts[40:]
         batch = kde_gridcut(
             KDVProblem(window, bbox, self.SIZE, 2.0, "epanechnikov")
         )
-        assert acc.grid().max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
+        assert _grid(acc).max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
 
     def test_remove_to_empty_is_clean(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
-        acc.add(small_points).remove(small_points)
+        acc = _acc(bbox, self.SIZE, 1.0)
+        _remove(_add(acc, small_points), small_points)
         assert acc.n_points == 0
-        assert acc.grid().max == 0.0
+        assert _grid(acc).max == 0.0
 
     def test_cannot_remove_more_than_present(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
-        acc.add(small_points[:5])
+        acc = _acc(bbox, self.SIZE, 1.0)
+        _add(acc, small_points[:5])
         with pytest.raises(ParameterError, match="remove"):
-            acc.remove(small_points)
+            _remove(acc, small_points)
 
     def test_grid_is_copy(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
-        acc.add(small_points)
-        grid = acc.grid()
-        acc.add(small_points)
-        assert acc.grid().values.sum() > grid.values.sum()
+        acc = _acc(bbox, self.SIZE, 1.0)
+        _add(acc, small_points)
+        before = acc.surface(0)
+        kept = before.copy()
+        _add(acc, small_points)
+        np.testing.assert_array_equal(before, kept)
+        assert acc.surface(0).sum() > before.sum()
+        before[:] = 0.0
+        assert acc.surface(0).sum() > kept.sum()
 
     def test_gaussian_kernel_supported(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0, kernel="gaussian")
-        acc.add(small_points)
-        assert acc.grid().max > 0
+        acc = _acc(bbox, self.SIZE, 1.0, kernel="gaussian")
+        _add(acc, small_points)
+        assert _grid(acc).max > 0
 
 
 class TestMultiSurfaceAccumulator:
@@ -142,10 +164,10 @@ class TestMultiSurfaceAccumulator:
             MultiSurfaceAccumulator(bbox, self.SIZE, 1.0, n_surfaces=0)
 
     def test_reset(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
-        acc.add(small_points).reset()
+        acc = _acc(bbox, self.SIZE, 1.0)
+        _add(acc, small_points).reset()
         assert acc.n_points == 0
-        assert acc.grid().max == 0.0
+        assert _grid(acc).max == 0.0
 
 
 class TestDriftRegression:
@@ -159,13 +181,13 @@ class TestDriftRegression:
         rng = np.random.default_rng(99)
         pts = rng.uniform([bbox.xmin, bbox.ymin], [bbox.xmax, bbox.ymax],
                           size=(window + cycles * batch, 2))
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5, dtype=dtype)
-        acc.add(pts[:window])
+        acc = _acc(bbox, self.SIZE, 1.5, dtype=dtype)
+        _add(acc, pts[:window])
         lo = 0
         for c in range(cycles):
             hi = window + c * batch
-            acc.add(pts[hi:hi + batch])
-            acc.remove(pts[lo:lo + batch])
+            _add(acc, pts[hi:hi + batch])
+            _remove(acc, pts[lo:lo + batch])
             lo += batch
         live = pts[lo:window + cycles * batch]
         return acc, live
@@ -173,36 +195,37 @@ class TestDriftRegression:
     def test_f64_drift_within_published_tolerance(self, bbox):
         acc, live = self._churn(bbox, np.float64, cycles=2000)
         assert acc.n_points == live.shape[0]
-        fresh = KDVAccumulator(bbox, self.SIZE, 1.5).add(live)
-        diff = np.abs(acc.surface(0) - fresh.surface(0)).max()
+        fresh = kde_grid(live, bbox, self.SIZE, 1.5, method="grid").values
+        diff = np.abs(acc.surface(0) - fresh).max()
         assert diff <= acc.drift_tolerance
         # The bound is meaningful, not vacuous: it certifies real digits.
-        assert acc.drift_tolerance < 1e-6 * max(fresh.surface(0).max(), 1.0)
+        assert acc.drift_tolerance < 1e-6 * max(fresh.max(), 1.0)
 
     def test_f32_drift_within_published_tolerance(self, bbox):
         acc, live = self._churn(bbox, np.float32, cycles=2000)
-        fresh = KDVAccumulator(bbox, self.SIZE, 1.5, dtype=np.float32).add(live)
+        fresh = kde_grid(live, bbox, self.SIZE, 1.5, method="grid",
+                         dtype=np.float32).values
         diff = np.abs(
             acc.surface(0).astype(np.float64)
-            - fresh.surface(0).astype(np.float64)
+            - fresh.astype(np.float64)
         ).max()
         assert diff <= acc.drift_tolerance
 
     def test_gross_net_accounting(self, bbox, small_points):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = _acc(bbox, self.SIZE, 1.5)
         n = small_points.shape[0]
-        acc.add(small_points)
+        _add(acc, small_points)
         assert acc.gross_weight == pytest.approx(n)
         assert acc.net_weight == pytest.approx(n)
         assert acc.drift_ratio == pytest.approx(n / max(n, 1.0))
-        acc.remove(small_points[: n // 2])
+        _remove(acc, small_points[: n // 2])
         assert acc.gross_weight == pytest.approx(n + n // 2)
         assert acc.net_weight == pytest.approx(n - n // 2)
         assert acc.drift_ratio > 1.0
 
     def test_reset_clears_all_state(self, bbox, small_points):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
-        acc.add(small_points).remove(small_points[:3])
+        acc = _acc(bbox, self.SIZE, 1.5)
+        _remove(_add(acc, small_points), small_points[:3])
         acc.reset()
         assert acc.n_points == 0
         assert acc.gross_weight == 0.0
@@ -218,11 +241,11 @@ class TestDriftRegression:
         assert acc.n_points == live.shape[0]
         assert acc.drift_ratio == pytest.approx(1.0)
         assert acc.drift_tolerance < tol_before
-        fresh = KDVAccumulator(bbox, self.SIZE, 1.5).add(live)
-        np.testing.assert_array_equal(acc.surface(0), fresh.surface(0))
+        fresh = kde_grid(live, bbox, self.SIZE, 1.5, method="grid").values
+        np.testing.assert_array_equal(acc.surface(0), fresh)
 
     def test_rescatter_validates_weights(self, bbox, small_points):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = _acc(bbox, self.SIZE, 1.5)
         with pytest.raises(DataError, match="weights"):
             acc.rescatter(small_points, np.ones((small_points.shape[0], 2)))
         with pytest.raises(DataError, match="non-finite"):
@@ -230,11 +253,11 @@ class TestDriftRegression:
                           np.full((small_points.shape[0], 1), np.inf))
 
     def test_f32_tolerance_includes_table_term(self, bbox):
-        f64 = KDVAccumulator(bbox, self.SIZE, 1.5)
-        f32 = KDVAccumulator(bbox, self.SIZE, 1.5, dtype=np.float32)
+        f64 = _acc(bbox, self.SIZE, 1.5)
+        f32 = _acc(bbox, self.SIZE, 1.5, dtype=np.float32)
         pts = np.full((10, 2), 5.0)
-        f64.add(pts)
-        f32.add(pts)
+        _add(f64, pts)
+        _add(f32, pts)
         assert f32.drift_tolerance > f64.drift_tolerance
 
 
