@@ -2,7 +2,7 @@
 
 Exit codes: 0 — clean (possibly via baseline/pragmas), 1 — active
 violations found (or, with ``--prune-baseline``, stale entries pruned),
-2 — configuration or usage error.
+2 — usage error (unknown rule id, malformed baseline file).
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from pathlib import Path
 
 from ..errors import AnalysisError
 from .baseline import Baseline, load_baseline, save_entries, write_baseline
-from .cache import DEFAULT_CACHE_NAME
-from .config import DEFAULT_BASELINE_NAME, LintConfig, find_project_root, load_config
+from .config import DEFAULT_BASELINE_NAME, find_project_root
 from .engine import analyze_paths
 from .registry import all_rules, get_rule
 from .reporting import render_json, render_sarif, render_text
@@ -27,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "reprolint: two-phase AST static analysis enforcing the repro "
+            "reprolint: AST static analysis enforcing the repro "
             "library's determinism, parallelism and observability contracts."
         ),
     )
@@ -46,9 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline",
         metavar="FILE",
         help=(
-            "baseline JSON of accepted violations (default: the "
-            "[tool.reprolint] setting, else .reprolint-baseline.json when "
-            "it exists)"
+            "baseline JSON of accepted violations (default: "
+            f"{DEFAULT_BASELINE_NAME} at the project root, when it exists)"
         ),
     )
     parser.add_argument(
@@ -76,46 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "report findings only for git-changed files (diff vs HEAD plus "
-            "untracked); the full tree is still indexed so cross-module "
-            "rules stay sound"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk analysis cache for this run",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help=f"cache file location (default: <root>/{DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker count for the file-analysis fan-out through "
-            "repro.parallel (default: REPRO_WORKERS, else 1)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="execution backend for the fan-out (default: REPRO_BACKEND)",
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore [tool.reprolint] in pyproject.toml",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule and exit",
@@ -134,7 +92,7 @@ def _default_paths() -> list[str]:
 
 
 def _resolve_rules(args: argparse.Namespace):
-    """Apply --select/--disable to the registry; None means registry+config."""
+    """Apply --select/--disable to the registry; None means every rule."""
     if not args.select and not args.disable:
         return None
     if args.select:
@@ -148,26 +106,11 @@ def _resolve_rules(args: argparse.Namespace):
 
 
 def _resolve_baseline(
-    args: argparse.Namespace, config: LintConfig
+    args: argparse.Namespace, root: Path
 ) -> tuple[Baseline | None, Path]:
     """The baseline to apply (if any) and the path a write would target."""
-    if args.baseline:
-        path = Path(args.baseline)
-        return (load_baseline(path) if path.exists() else None), path
-    if config.baseline:
-        path = config.root / config.baseline
-        return (load_baseline(path) if path.exists() else None), path
-    path = config.root / DEFAULT_BASELINE_NAME
+    path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
     return (load_baseline(path) if path.exists() else None), path
-
-
-def _resolve_cache(args: argparse.Namespace, config: LintConfig) -> Path | None:
-    """The cache file to use, or None when caching is off."""
-    if args.no_cache:
-        return None
-    if args.cache:
-        return Path(args.cache)
-    return config.root / DEFAULT_CACHE_NAME
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,29 +121,12 @@ def main(argv: list[str] | None = None) -> int:
         for rule in all_rules():
             print(f"{rule.rule_id}  {rule.name:26s} {rule.summary}")
         return 0
-    if args.prune_baseline and args.changed_only:
-        print(
-            "reprolint: error: --prune-baseline needs a full run; drop "
-            "--changed-only",
-            file=sys.stderr,
-        )
-        return 2
     paths = args.paths or _default_paths()
     try:
         root = find_project_root(paths[0] if Path(paths[0]).exists() else Path.cwd())
-        config = LintConfig(root=root) if args.no_config else load_config(root)
         rules = _resolve_rules(args)
-        baseline, baseline_path = _resolve_baseline(args, config)
-        result = analyze_paths(
-            paths,
-            config=config,
-            rules=rules,
-            baseline=baseline,
-            workers=args.workers,
-            backend=args.backend,
-            cache_path=_resolve_cache(args, config),
-            changed_only=args.changed_only,
-        )
+        baseline, baseline_path = _resolve_baseline(args, root)
+        result = analyze_paths(paths, root=root, rules=rules, baseline=baseline)
         if args.write_baseline:
             accepted = result.violations + result.baselined
             write_baseline(baseline_path, accepted, existing=baseline)

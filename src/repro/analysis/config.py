@@ -1,58 +1,14 @@
-"""``[tool.reprolint]`` configuration loaded from ``pyproject.toml``.
-
-Recognised keys::
-
-    [tool.reprolint]
-    enable   = ["RPR001", ...]   # when non-empty, ONLY these rules run
-    disable  = ["RPR007"]        # rules switched off
-    exclude  = ["src/repro/_*"]  # fnmatch globs on project-relative paths
-    baseline = ".reprolint-baseline.json"
-
-Parsing uses stdlib ``tomllib`` (Python >= 3.11); on older interpreters
-the config is treated as empty rather than failing, since every option can
-also be supplied on the command line.
-"""
+"""Project root discovery and the default baseline location."""
 
 from __future__ import annotations
 
-import dataclasses
-import fnmatch
 from pathlib import Path
 
-from ..errors import AnalysisError
+__all__ = ["find_project_root", "DEFAULT_BASELINE_NAME"]
 
-try:
-    import tomllib as _toml
-except ModuleNotFoundError:  # pragma: no cover - Python 3.10 fallback
-    _toml = None
-
-__all__ = ["LintConfig", "find_project_root", "load_config", "DEFAULT_BASELINE_NAME"]
-
-#: Baseline filename used when neither config nor CLI name one.
+#: Baseline filename, relative to the project root, used unless the CLI
+#: names another with ``--baseline``.
 DEFAULT_BASELINE_NAME = ".reprolint-baseline.json"
-
-_KNOWN_KEYS = {"enable", "disable", "exclude", "baseline"}
-
-
-@dataclasses.dataclass(frozen=True)
-class LintConfig:
-    """Resolved linter configuration for one project root."""
-
-    root: Path
-    enable: tuple[str, ...] = ()
-    disable: tuple[str, ...] = ()
-    exclude: tuple[str, ...] = ()
-    baseline: str | None = None
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        """Apply the enable/disable lists to one rule id."""
-        if self.enable and rule_id not in self.enable:
-            return False
-        return rule_id not in self.disable
-
-    def is_excluded(self, relpath: str) -> bool:
-        """True when a project-relative POSIX path matches an exclude glob."""
-        return any(fnmatch.fnmatch(relpath, pattern) for pattern in self.exclude)
 
 
 def find_project_root(start: str | Path) -> Path:
@@ -68,51 +24,3 @@ def find_project_root(start: str | Path) -> Path:
         if (candidate / "pyproject.toml").is_file():
             return candidate
     return path
-
-
-def _string_list(value: object, key: str, where: str) -> tuple[str, ...]:
-    """Validate a TOML value as a list of strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise AnalysisError(f"{where}: '{key}' must be a list of strings")
-    return tuple(value)
-
-
-def load_config(root: str | Path) -> LintConfig:
-    """Load ``[tool.reprolint]`` from ``root/pyproject.toml``.
-
-    Missing file, missing table, or an interpreter without ``tomllib`` all
-    yield the default configuration; malformed values raise
-    :class:`AnalysisError`.
-    """
-    root = Path(root)
-    pyproject = root / "pyproject.toml"
-    if _toml is None or not pyproject.is_file():
-        return LintConfig(root=root)
-    try:
-        data = _toml.loads(pyproject.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise AnalysisError(f"cannot parse {pyproject}: {exc}") from exc
-    table = data.get("tool", {}).get("reprolint", {})
-    if not isinstance(table, dict):
-        raise AnalysisError(f"{pyproject}: [tool.reprolint] must be a table")
-    unknown = set(table) - _KNOWN_KEYS
-    if unknown:
-        raise AnalysisError(
-            f"{pyproject}: unknown [tool.reprolint] keys: "
-            f"{', '.join(sorted(unknown))}"
-        )
-    where = str(pyproject)
-    baseline = table.get("baseline")
-    if baseline is not None and not isinstance(baseline, str):
-        raise AnalysisError(f"{where}: 'baseline' must be a string")
-    return LintConfig(
-        root=root,
-        enable=tuple(
-            r.upper() for r in _string_list(table.get("enable", []), "enable", where)
-        ),
-        disable=tuple(
-            r.upper() for r in _string_list(table.get("disable", []), "disable", where)
-        ),
-        exclude=_string_list(table.get("exclude", []), "exclude", where),
-        baseline=baseline,
-    )

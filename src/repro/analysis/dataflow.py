@@ -8,7 +8,7 @@ contains.  Nested ``def``/``lambda`` bodies are *not* folded into the
 enclosing summary — each scope gets its own — so "free name" below always
 means "free in exactly this scope".
 
-The summaries are the phase-1 substrate that
+The summaries are the substrate that
 :mod:`repro.analysis.project` attaches to every function in the
 :class:`~repro.analysis.project.ProjectIndex`; the RPR011 (kwarg
 forwarding), RPR013 (worker-callable purity) and RPR014 (deprecated

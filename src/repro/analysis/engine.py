@@ -1,40 +1,28 @@
-"""Analysis engine: two-phase project analysis, triage and caching.
+"""Analysis engine: one serial pass over the files, then triage.
 
-The engine is the pure-library layer under the CLI.  A run has two
-phases:
-
-1. **File phase** — every target file is read, hashed and (on a cache
-   miss) parsed and checked against the per-file rules.  The misses fan
-   out through :func:`repro.parallel.parallel_map` — the library's own
-   shared executor — so the linter dogfoods the worker-invariance
-   contract it enforces: results come back in submission order, making
-   the diagnostics ordering identical for every worker count/backend.
-2. **Project phase** — when any :class:`~repro.analysis.project.ProjectRule`
-   is enabled, a :class:`~repro.analysis.project.ProjectIndex` (module
-   graph, symbol tables, call graph, def-use summaries) is built over
-   *all* parsed files and the cross-module rules run against it.  The
-   phase is cached as a unit, keyed by the digest of every file hash.
+The engine is the pure-library layer under the CLI.  Each target file
+is read and parsed once into a :class:`~repro.analysis.context.ModuleContext`.
+The per-file rules run on that context, and the same contexts build the
+:class:`~repro.analysis.project.ProjectIndex` (module graph, symbol
+tables, call graph, def-use summaries) that the cross-module
+:class:`~repro.analysis.project.ProjectRule` checks run against.
 
 Raw findings are then triaged into *active* (failing), *baselined*
 (accepted with a justification) and *suppressed* (silenced by an inline
-pragma) buckets; pragmas and baseline are re-applied on every run so
-cache entries stay triage-free.
+pragma) buckets.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import subprocess
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..parallel import parallel_map
 from .baseline import Baseline, BaselineEntry
-from .cache import AnalysisCache, content_hash, project_digest, ruleset_digest
-from .config import LintConfig, find_project_root
+from .config import find_project_root
 from .context import ModuleContext, parse_pragmas
 from .project import ProjectIndex, ProjectRule
-from .registry import Rule, all_rules, get_rule
+from .registry import Rule, all_rules
 from .rules import __all__ as _rule_modules  # noqa: F401  (registers rules)
 from .violations import PARSE_ERROR_ID, Violation
 
@@ -42,7 +30,6 @@ __all__ = [
     "AnalysisResult",
     "analyze_source",
     "analyze_paths",
-    "changed_files",
     "iter_python_files",
 ]
 
@@ -56,12 +43,6 @@ class AnalysisResult:
     suppressed: list[Violation]
     files_checked: int
     unused_baseline: list[BaselineEntry]
-    #: Files whose per-file findings came from the on-disk cache.
-    cache_hits: int = 0
-    #: True when the cross-module findings came from the cache.
-    project_cache_hit: bool = False
-    #: True when findings were filtered to git-changed files.
-    changed_only: bool = False
 
     @property
     def ok(self) -> bool:
@@ -79,11 +60,6 @@ class AnalysisResult:
                 "suppressed": len(self.suppressed),
                 "unused_baseline": len(self.unused_baseline),
             },
-            "cache": {
-                "file_hits": self.cache_hits,
-                "project_hit": self.project_cache_hit,
-            },
-            "changed_only": self.changed_only,
             "violations": [v.to_dict() for v in self.violations],
             "baselined": [v.to_dict() for v in self.baselined],
             "suppressed": [v.to_dict() for v in self.suppressed],
@@ -91,10 +67,8 @@ class AnalysisResult:
         }
 
 
-def iter_python_files(
-    paths: Sequence[str | Path], config: LintConfig | None = None
-) -> Iterator[Path]:
-    """Yield ``.py`` files under ``paths`` (sorted, excludes applied)."""
+def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
+    """Yield ``.py`` files under ``paths`` (sorted, each file once)."""
     seen: set[Path] = set()
     for raw in paths:
         path = Path(raw)
@@ -107,62 +81,23 @@ def iter_python_files(
             if resolved in seen:
                 continue
             seen.add(resolved)
-            if config is not None and config.is_excluded(
-                _relpath(candidate, config.root)
-            ):
-                continue
             yield candidate
 
 
-def changed_files(root: str | Path) -> set[str] | None:
-    """Project-relative paths git considers changed, or None outside git.
-
-    The set is the union of tracked modifications against ``HEAD`` and
-    untracked (non-ignored) files — the files a fast local/CI
-    ``--changed-only`` run should re-report.
-    """
-    root = Path(root)
-    changed: set[str] = set()
-    for args in (
-        ("git", "diff", "--name-only", "HEAD"),
-        ("git", "ls-files", "--others", "--exclude-standard"),
-    ):
-        try:
-            proc = subprocess.run(
-                args, cwd=root, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        changed.update(
-            line.strip() for line in proc.stdout.splitlines() if line.strip()
-        )
-    return changed
-
-
-def _relpath(path: Path, root: Path | None) -> str:
+def _relpath(path: Path, root: Path) -> str:
     """Project-relative POSIX path used for display and fingerprints."""
     resolved = path.resolve()
-    if root is not None:
-        root_resolved = Path(root).resolve()
-        if resolved.is_relative_to(root_resolved):
-            return resolved.relative_to(root_resolved).as_posix()
+    root_resolved = Path(root).resolve()
+    if resolved.is_relative_to(root_resolved):
+        return resolved.relative_to(root_resolved).as_posix()
     return path.as_posix()
 
 
-def _enabled_rules(config: LintConfig | None, rules: Sequence[Rule] | None) -> list[Rule]:
-    """The rule set for a run: explicit ``rules``, else registry + config."""
-    if rules is not None:
-        return list(rules)
-    selected = all_rules()
-    if config is not None:
-        selected = [r for r in selected if config.rule_enabled(r.rule_id)]
-    return selected
-
-
-def _split_rules(rules: Sequence[Rule]) -> tuple[list[Rule], list[ProjectRule]]:
-    """Partition a rule set into (per-file rules, project rules)."""
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
+def _split_rules(rules: Sequence[Rule] | None) -> tuple[list[Rule], list[ProjectRule]]:
+    """Partition a rule set (default: every rule) into file and project rules."""
+    selected = all_rules() if rules is None else list(rules)
+    file_rules = [r for r in selected if not isinstance(r, ProjectRule)]
+    project_rules = [r for r in selected if isinstance(r, ProjectRule)]
     return file_rules, project_rules
 
 
@@ -178,28 +113,35 @@ def _parse_failure(relpath: str, exc: Exception) -> Violation:
     )
 
 
-def _check_file(ctx: ModuleContext, rules: Sequence[Rule]) -> list[Violation]:
-    """Run per-file rules over one parsed module."""
-    findings: list[Violation] = []
-    for rule in rules:
-        findings.extend(rule.check(ctx))
-    return findings
+def _check_file(
+    relpath: str, source: str, file_rules: Sequence[Rule]
+) -> tuple[ModuleContext | None, list[Violation]]:
+    """Parse one module and run the per-file rules over it.
 
-
-def _file_task(payload: tuple[str, str, tuple[str, ...]]) -> list[dict]:
-    """Worker task: parse one source text and run the named file rules.
-
-    Module-level and dict-in/dict-out so it stays picklable for the
-    ``process`` backend; pure by construction (RPR013 applies to the
-    linter too).
+    Returns the context (``None`` when the source does not parse) and
+    the raw findings: an unparsable file yields a single ``RPR000``.
     """
-    relpath, source, rule_ids = payload
     try:
         ctx = ModuleContext(relpath, source)
     except SyntaxError as exc:
-        return [_parse_failure(relpath, exc).to_dict()]
-    rules = [get_rule(rule_id) for rule_id in rule_ids]
-    return [v.to_dict() for v in _check_file(ctx, rules)]
+        return None, [_parse_failure(relpath, exc)]
+    findings: list[Violation] = []
+    for rule in file_rules:
+        findings.extend(rule.check(ctx))
+    return ctx, findings
+
+
+def _check_project(
+    contexts: Mapping[str, ModuleContext], project_rules: Sequence[ProjectRule]
+) -> list[Violation]:
+    """Run the cross-module rules over an index of the parsed modules."""
+    if not project_rules:
+        return []
+    index = ProjectIndex.build(contexts)
+    findings: list[Violation] = []
+    for rule in project_rules:
+        findings.extend(rule.check_project(index))
+    return findings
 
 
 def analyze_source(
@@ -216,16 +158,11 @@ def analyze_source(
     ``respect_pragmas`` is false).  Unparsable source yields a single
     ``RPR000`` finding rather than raising.
     """
-    try:
-        ctx = ModuleContext(path, source)
-    except SyntaxError as exc:
-        return [_parse_failure(path, exc)]
-    file_rules, project_rules = _split_rules(_enabled_rules(None, rules))
-    findings = _check_file(ctx, file_rules)
-    if project_rules:
-        index = ProjectIndex.build({path: ctx})
-        for rule in project_rules:
-            findings.extend(rule.check_project(index))
+    file_rules, project_rules = _split_rules(rules)
+    ctx, findings = _check_file(path, source, file_rules)
+    if ctx is None:
+        return findings
+    findings.extend(_check_project({path: ctx}, project_rules))
     findings.sort(key=lambda v: (v.line, v.col, v.rule_id))
     if not respect_pragmas:
         return findings
@@ -234,142 +171,61 @@ def analyze_source(
 
 def analyze_paths(
     paths: Sequence[str | Path],
-    config: LintConfig | None = None,
+    root: str | Path | None = None,
     rules: Sequence[Rule] | None = None,
     baseline: Baseline | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
-    cache_path: str | Path | None = None,
-    changed_only: bool = False,
 ) -> AnalysisResult:
-    """Analyze files/directories in two phases and triage the findings.
+    """Analyze files/directories in one pass and triage the findings.
 
-    ``config`` defaults to an empty configuration rooted at the nearest
-    ``pyproject.toml`` (for stable relative paths); pass the result of
-    :func:`repro.analysis.config.load_config` to honour pyproject settings.
-    ``workers``/``backend`` follow the library-wide convention (``None``
-    defers to ``REPRO_WORKERS``/``REPRO_BACKEND``) and are forwarded to
-    the shared executor.  ``cache_path`` enables the on-disk cache;
-    ``changed_only`` restricts *reported* findings to git-changed files
-    (the whole tree is still indexed so cross-module rules stay sound).
+    ``root`` anchors the project-relative paths that findings and the
+    baseline use; it defaults to the nearest ancestor of ``paths[0]``
+    holding a ``pyproject.toml``.  ``rules`` defaults to every
+    registered rule.
     """
-    if config is None:
-        start = Path(paths[0]) if paths else Path.cwd()
-        config = LintConfig(root=find_project_root(start))
-    selected = _enabled_rules(config, rules)
-    file_rules, project_rules = _split_rules(selected)
-    cache = (
-        AnalysisCache(cache_path, ruleset_digest(selected))
-        if cache_path is not None
-        else None
-    )
+    if root is None:
+        root = find_project_root(Path(paths[0]) if paths else Path.cwd())
+    file_rules, project_rules = _split_rules(rules)
 
-    # -- phase 1: read, hash, per-file rules (cache-aware fan-out) ---------
-    sources: dict[str, str] = {}
-    hashes: dict[str, str] = {}
+    contexts: dict[str, ModuleContext] = {}
+    pragmas: dict[str, dict[int, frozenset[str]]] = {}
     findings_by_file: dict[str, list[Violation]] = {}
     files_checked = 0
-    cache_hits = 0
-    pending: list[tuple[str, str]] = []
-    for file_path in iter_python_files(paths, config):
+    for file_path in iter_python_files(paths):
         files_checked += 1
-        relpath = _relpath(file_path, config.root)
+        relpath = _relpath(file_path, root)
         try:
             source = file_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             findings_by_file[relpath] = [_parse_failure(relpath, exc)]
             continue
-        sources[relpath] = source
-        sha = content_hash(source)
-        hashes[relpath] = sha
-        cached = cache.get_file(relpath, sha) if cache is not None else None
-        if cached is not None:
-            findings_by_file[relpath] = cached
-            cache_hits += 1
+        ctx, findings_by_file[relpath] = _check_file(relpath, source, file_rules)
+        if ctx is None:
+            pragmas[relpath] = parse_pragmas(source.splitlines())
         else:
-            pending.append((relpath, sha))
-    if pending:
-        rule_ids = tuple(r.rule_id for r in file_rules)
-        payloads = [
-            (relpath, sources[relpath], rule_ids) for relpath, _ in pending
-        ]
-        results = parallel_map(
-            _file_task, payloads, workers=workers, backend=backend
-        )
-        for (relpath, sha), dicts in zip(pending, results):
-            found = [Violation.from_dict(d) for d in dicts]
-            findings_by_file[relpath] = found
-            if cache is not None:
-                cache.put_file(relpath, sha, found)
+            contexts[relpath] = ctx
+            pragmas[relpath] = ctx.pragmas
+    for violation in _check_project(contexts, project_rules):
+        findings_by_file.setdefault(violation.path, []).append(violation)
 
-    # -- phase 2: project index + cross-module rules -----------------------
-    project_cache_hit = False
-    if project_rules:
-        digest = project_digest(hashes.items(), ruleset_digest(selected))
-        cached_project = (
-            cache.get_project(digest) if cache is not None else None
-        )
-        if cached_project is not None:
-            project_findings = cached_project
-            project_cache_hit = True
-        else:
-            contexts: dict[str, ModuleContext] = {}
-            for relpath, source in sources.items():
-                try:
-                    contexts[relpath] = ModuleContext(relpath, source)
-                except SyntaxError:
-                    # The file phase already reported RPR000 for this
-                    # file; the index simply skips it.
-                    continue
-            index = ProjectIndex.build(contexts)
-            project_findings = []
-            for rule in project_rules:
-                project_findings.extend(rule.check_project(index))
-            if cache is not None:
-                cache.put_project(digest, project_findings)
-        for violation in project_findings:
-            findings_by_file.setdefault(violation.path, []).append(violation)
-
-    if cache is not None:
-        cache.save()
-
-    # -- triage ------------------------------------------------------------
-    changed: set[str] | None = None
-    if changed_only:
-        changed = changed_files(config.root)
     active: list[Violation] = []
     baselined: list[Violation] = []
     suppressed: list[Violation] = []
     for relpath in sorted(findings_by_file):
-        if changed is not None and relpath not in changed:
-            continue
-        pragmas = (
-            parse_pragmas(sources[relpath].splitlines())
-            if relpath in sources
-            else {}
-        )
+        file_pragmas = pragmas.get(relpath, {})
         for violation in sorted(
             findings_by_file[relpath], key=lambda v: (v.line, v.col, v.rule_id)
         ):
-            ids = pragmas.get(violation.line)
+            ids = file_pragmas.get(violation.line)
             if ids is not None and ("ALL" in ids or violation.rule_id in ids):
                 suppressed.append(violation)
             elif baseline is not None and baseline.matches(violation):
                 baselined.append(violation)
             else:
                 active.append(violation)
-    unused = (
-        baseline.unused_entries()
-        if baseline is not None and changed is None
-        else []
-    )
     return AnalysisResult(
         violations=active,
         baselined=baselined,
         suppressed=suppressed,
         files_checked=files_checked,
-        unused_baseline=unused,
-        cache_hits=cache_hits,
-        project_cache_hit=project_cache_hit,
-        changed_only=changed is not None,
+        unused_baseline=baseline.unused_entries() if baseline is not None else [],
     )

@@ -1,4 +1,4 @@
-"""Phase-1 project index: modules, imports, symbols and the call graph.
+"""Project index: modules, imports, symbols and the call graph.
 
 :class:`ProjectIndex` is built once per analysis run from every parsed
 module and gives the cross-module (``ProjectRule``) rules a resolved view

@@ -32,8 +32,6 @@ class Rule:
     rule_id: str = ""
     name: str = ""
     summary: str = ""
-    #: Bump when the rule's semantics change so cached findings refresh.
-    version: int = 1
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
         """Yield every finding for the module in ``ctx``."""

@@ -47,13 +47,6 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
         f"suppressed) across {result.files_checked} file"
         f"{'' if result.files_checked == 1 else 's'}"
     )
-    if result.cache_hits or result.project_cache_hit:
-        parts = [f"{result.cache_hits} from cache"]
-        if result.project_cache_hit:
-            parts.append("project phase cached")
-        summary += f" ({', '.join(parts)})"
-    if result.changed_only:
-        summary += " [changed files only]"
     if result.unused_baseline:
         summary += f"; {len(result.unused_baseline)} unused baseline entries"
     lines.append(summary)

@@ -50,7 +50,6 @@ class SharedExecutorRule(Rule):
 
     rule_id = "RPR009"
     name = "shared-executor"
-    version = 2  # v2: repro.serve may import threading (sync primitives)
     summary = (
         "thread/process pools bypass the shared executor; route the work "
         "through repro.parallel so worker-count determinism holds"

@@ -8,9 +8,9 @@ timing that the trace cannot see (and that tempts result types into
 carrying non-deterministic seconds), so reprolint flags the call and
 points the author at ``obs.span`` / ``obs.Stopwatch`` instead.
 
-The benchmark harness (:mod:`repro.bench.timing`) predates the trace
-layer and measures wall time *as its output*, not as diagnostics; its
-usages are baselined rather than rewritten.
+The benchmark harness (:mod:`repro.bench.timing`) measures wall time
+*as its output* with ``obs.Stopwatch``, which reads the clock whether or
+not tracing is on, so it needs no exemption.
 """
 
 from __future__ import annotations

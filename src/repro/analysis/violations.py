@@ -41,18 +41,6 @@ class Violation:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Violation":
-        """Rebuild a Violation from :meth:`to_dict` output (cache loads)."""
-        return cls(
-            rule_id=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-            symbol=str(data.get("symbol", "<module>")),
-        )
-
     def render(self) -> str:
         """One-line ``path:line:col: RULE message (in symbol)`` rendering."""
         where = f" (in {self.symbol})" if self.symbol != "<module>" else ""

@@ -1,7 +1,7 @@
-"""Benchmark harness utilities: timers and paper-style table printing."""
+"""Benchmark harness utilities: best-of timing and paper-style table printing."""
 
 from .charts import ascii_chart
 from .tables import format_table, print_table
-from .timing import Timer, measure
+from .timing import measure
 
-__all__ = ["Timer", "ascii_chart", "format_table", "measure", "print_table"]
+__all__ = ["ascii_chart", "format_table", "measure", "print_table"]

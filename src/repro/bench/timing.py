@@ -1,29 +1,13 @@
-"""Wall-clock timing helpers for the benchmark harness."""
+"""Best-of wall-clock timing for the benchmark harness."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ParameterError
+from ..obs import Stopwatch
 
-__all__ = ["Timer", "measure"]
-
-
-@dataclass
-class Timer:
-    """Context-manager stopwatch: ``with Timer() as t: ...; t.elapsed``."""
-
-    elapsed: float = 0.0
-    _start: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
+__all__ = ["measure"]
 
 
 def measure(fn: Callable[[], object], repeat: int = 3) -> tuple[float, object]:
@@ -34,7 +18,7 @@ def measure(fn: Callable[[], object], repeat: int = 3) -> tuple[float, object]:
     best = float("inf")
     result: object = None
     for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
+        with Stopwatch() as sw:
+            result = fn()
+        best = min(best, sw.seconds)
     return best, result

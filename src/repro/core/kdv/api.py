@@ -193,8 +193,8 @@ def _kde_grid_from_request(points, request, bbox=None, weights=None) -> DensityG
 
     The request-object twin of the kwarg signature (``kde_grid.from_request``):
     ``request.bbox`` wins when set, else the caller's ``bbox``.  Dispatches
-    through :func:`~repro.core.request.execute_request`, so the resolved
-    :class:`~repro.core.request.RequestPlan` lands on the trace.
+    through :func:`~repro.core.request.execute_request`; an ``auto``
+    request is planned once, by ``kde_grid`` itself.
     """
     from ..request import KDVRequest, execute_request
 

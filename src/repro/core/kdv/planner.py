@@ -15,8 +15,8 @@ the kernel family.  ``kde_grid`` therefore plans, audits, then executes:
   through each backend's record in :mod:`repro.core.kdv._registry`.
   The shipped coefficients are seeded from the repository's own
   benchmark artefacts (``benchmarks/results/BENCH_*.json`` and
-  ``ablation_kdv_methods.txt``) and can be refreshed from those files or
-  from :mod:`repro.obs` traces via :func:`calibrate`;
+  ``ablation_kdv_methods.txt``) and can be refreshed from
+  :mod:`repro.obs` traces via :func:`calibrate`;
 * an LRU plan cache keyed by the problem signature lets repeated
   identical queries (the serve layer's hot case) skip planning
   entirely — see :func:`plan_cache_info` / :func:`clear_plan_cache`.
@@ -36,12 +36,9 @@ With an explicit ``method=`` the strict audit still applies unchanged.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from ... import obs, parallel
@@ -161,9 +158,9 @@ class CostModel:
       chosen so the model reproduces every row ordering of the ablation
       table.
 
-    :func:`calibrate` refits the measurable subset from fresh benchmark
-    artefacts or from :mod:`repro.obs` traces and installs the result as
-    the process-wide model (invalidating the plan cache).
+    :func:`calibrate` rescales each backend's calibrated coefficient from
+    :mod:`repro.obs` traces and installs the result as the process-wide
+    model (invalidating the plan cache).
     """
 
     coefficients: Mapping[str, float] = field(default_factory=dict)
@@ -407,78 +404,8 @@ def plan_kdv(problem: KDVProblem,
 
 
 # --------------------------------------------------------------------------
-# Calibration: refresh coefficients from benchmark artefacts / obs traces.
+# Calibration: refresh coefficients from obs traces.
 # --------------------------------------------------------------------------
-
-_ABLATION_ROW = re.compile(
-    r"^(?P<method>\w+)\s+(?P<n>\d+)\s+(?P<ms>[0-9.]+)\s*ms"
-)
-_ABLATION_GRID = re.compile(r"(?P<nx>\d+)x(?P<ny>\d+)\s+grid")
-
-
-def _fit_from_ablation_text(text: str, fitted: dict[str, float]) -> None:
-    """Per-unit slopes of the exact family from ``ablation_kdv_methods.txt``.
-
-    A row's slope is its measured seconds over the backend's cost with
-    its calibrated coefficient at one and every other at zero.  The
-    table records no bandwidth, so rows whose cost needs the kernel
-    patch (the grid scatter) are skipped.
-    """
-    grid_match = _ABLATION_GRID.search(text)
-    if grid_match is None:
-        return
-    nx = int(grid_match.group("nx"))
-    ny = int(grid_match.group("ny"))
-    slopes: dict[str, list[float]] = {}
-    for line in text.splitlines():
-        row = _ABLATION_ROW.match(line.strip())
-        backend = BACKENDS.get(row.group("method")) if row else None
-        if backend is None or not backend.auto:
-            continue
-        features = {"n": int(row.group("n")), "nx": nx, "ny": ny}
-        try:
-            per_unit = backend.cost(
-                lambda name: float(name == backend.calibrates), features)
-        except KeyError:
-            continue
-        slopes.setdefault(backend.calibrates, []).append(
-            float(row.group("ms")) / 1e3 / per_unit
-        )
-    for name, values in slopes.items():
-        # The largest n dominates the asymptotic slope; use the median
-        # to stay robust to the setup-dominated small rows.
-        values.sort()
-        fitted[name] = values[len(values) // 2]
-
-
-def _fit_from_bench_json(payload: dict, fitted: dict[str, float]) -> None:
-    """Phase coefficients from ``BENCH_dualtree_parallel`` / ``BENCH_scatter_core``."""
-    n = payload.get("n_events")
-    grid = payload.get("grid")
-    if not n or not grid:
-        return
-    npx = int(grid[0]) * int(grid[1])
-    logn = math.log2(max(float(n), 2.0))
-    plan_stats = payload.get("plan_stats") or {}
-    if "plan_seconds" in plan_stats:
-        fitted["dualtree_build"] = (
-            float(plan_stats["plan_seconds"]) / (n * logn)
-        )
-    f64 = f32 = None
-    for row in payload.get("results", ()):
-        stage = row.get("stage")
-        variant = row.get("variant")
-        if stage == "dualtree_execute" and variant == "scatter_core":
-            fitted["dualtree_refine"] = (
-                float(row["mean_seconds"]) / (npx * logn)
-            )
-        elif stage == "gridcut" and variant == "scatter_core_float64":
-            f64 = float(row["mean_seconds"])
-        elif stage == "gridcut" and variant == "scatter_core_float32":
-            f32 = float(row["mean_seconds"])
-    if f64 and f32:
-        fitted["grid_f32_factor"] = max(1.0, f32 / f64)
-
 
 def _fit_from_traces(traces: Iterable, fitted: dict[str, float]) -> None:
     """Multiplicative per-backend rescale from measured ``kdv`` task traces.
@@ -510,17 +437,11 @@ def _fit_from_traces(traces: Iterable, fitted: dict[str, float]) -> None:
         fitted[name] = _model.coefficient(name) * scale
 
 
-def calibrate(results_dir: str | Path | None = None,
-              traces: Iterable | None = None) -> CostModel:
+def calibrate(traces: Iterable | None = None) -> CostModel:
     """Refit the cost model and install it process-wide.
 
     Parameters
     ----------
-    results_dir:
-        A ``benchmarks/results`` directory.  ``ablation_kdv_methods.txt``
-        seeds the gather/sweep slopes; ``BENCH_dualtree_parallel.json``
-        and ``BENCH_scatter_core.json`` seed the dual-tree phase and
-        float32 coefficients.  Missing or unparseable files are skipped.
     traces:
         Optional iterable of :class:`~repro.obs.Diagnostics` records from
         traced ``kde_grid(method="auto")`` runs; measured-vs-predicted
@@ -530,29 +451,10 @@ def calibrate(results_dir: str | Path | None = None,
     model generation, invalidating every cached plan.
     """
     fitted = dict(_model.coefficients)
-    sources = []
-    if results_dir is not None:
-        results_dir = Path(results_dir)
-        ablation = results_dir / "ablation_kdv_methods.txt"
-        if ablation.is_file():
-            _fit_from_ablation_text(ablation.read_text(), fitted)
-            sources.append(ablation.name)
-        for name in ("BENCH_dualtree_parallel.json", "BENCH_scatter_core.json"):
-            path = results_dir / name
-            if not path.is_file():
-                continue
-            try:
-                payload = json.loads(path.read_text())
-            except ValueError:
-                continue
-            _fit_from_bench_json(payload, fitted)
-            sources.append(name)
+    source = "calibrated from nothing new"
     if traces is not None:
         _fit_from_traces(traces, fitted)
-        sources.append("obs traces")
-    model = CostModel(
-        coefficients=fitted,
-        source="calibrated from " + (", ".join(sources) or "nothing new"),
-    )
+        source = "calibrated from obs traces"
+    model = CostModel(coefficients=fitted, source=source)
     _set_model(model)
     return model

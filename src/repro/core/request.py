@@ -21,9 +21,9 @@ frozen, JSON-round-trippable request object:
   server coalesce identical concurrent queries and key its caches;
 * :func:`plan_request` generalises the PR 8 ``kde_grid`` planner into a
   shape every tool shares: a request plus a dataset resolves to a
-  :class:`RequestPlan` (predicted cost, chosen backend, rationale) and
-  :func:`execute_request` is the one auditable plan → execute path the
-  server dispatches through.
+  :class:`RequestPlan` (predicted cost, chosen backend, rationale), and
+  :func:`execute_request` is the one execute path the server dispatches
+  through.
 
 Requests deliberately do **not** carry point coordinates: a request is
 the *question*, the dataset is looked up by the execution context (the
@@ -524,14 +524,14 @@ def plan_request(request: AnalyticsRequest, points,
 def execute_request(request: AnalyticsRequest, points,
                     bbox: BoundingBox | None = None, times=None,
                     weights=None):
-    """Plan and run a request against a point set — the one dispatch path.
+    """Run a request against a point set — the one dispatch path.
 
     Returns the tool's native result (:class:`~repro.raster.DensityGrid`,
     :class:`~repro.core.pipeline.HotspotReport` or
-    :class:`~repro.core.kfunction.KFunctionPlot`).  The resolved
-    :class:`RequestPlan` is recorded on the active trace under
-    ``request.plan``, so the server's per-request diagnostics carry the
-    same audit trail ``kde_grid(method="auto")`` always had.
+    :class:`~repro.core.kfunction.KFunctionPlot`).  Nothing is planned
+    here: ``kde_grid(method="auto")`` plans once and records ``kdv.plan``
+    on its own diagnostics.  Callers that need the :class:`RequestPlan`
+    up front call :func:`plan_request` themselves, as the server does.
 
     ``times`` is accepted for signature uniformity with spatiotemporal
     datasets; the current request kinds are purely spatial and ignore it.
@@ -542,10 +542,7 @@ def execute_request(request: AnalyticsRequest, points,
 
     del times  # spatial request kinds; field reserved for ST requests
     window = request.resolve_bbox(bbox)
-    plan = plan_request(request, points, window)
-
-    with obs.task(f"request.{request.kind}") as trace:
-        trace.record("request.plan", plan.as_dict())
+    with obs.span(f"request.{request.kind}"):
         obs.count(f"request.kind.{request.kind}")
         if isinstance(request, KDVRequest):
             return kde_grid(

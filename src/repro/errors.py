@@ -64,7 +64,6 @@ class ServeError(ReproError, LookupError):
 class AnalysisError(ReproError, RuntimeError):
     """The :mod:`repro.analysis` static-analysis tooling failed.
 
-    Raised for malformed baseline files, invalid ``[tool.reprolint]``
-    configuration, or unknown rule identifiers — never for lint findings
-    themselves, which are reported as violations.
+    Raised for malformed baseline files or unknown rule identifiers —
+    never for lint findings themselves, which are reported as violations.
     """

@@ -1,31 +1,18 @@
-"""Unit tests for reprolint's phase-1 substrate and engine plumbing.
+"""Unit tests for reprolint's project index and engine plumbing.
 
 Covers the :class:`ProjectIndex` (module naming, import resolution,
 re-export chasing, cycle detection), the def-use
-:class:`FunctionSummary`, the on-disk :class:`AnalysisCache`, the SARIF
-reporter and the ``--changed-only`` git integration.
+:class:`FunctionSummary`, the single parse per file and the SARIF
+reporter.
 """
 
 import ast
 import importlib
 import json
-import subprocess
 
 import pytest
 
-from repro.analysis import (
-    AnalysisCache,
-    ProjectIndex,
-    analyze_paths,
-    render_sarif,
-)
-from repro.analysis.cache import (
-    CACHE_VERSION,
-    content_hash,
-    project_digest,
-    ruleset_digest,
-)
-from repro.analysis.config import LintConfig
+from repro.analysis import ProjectIndex, analyze_paths, render_sarif
 from repro.analysis.context import ModuleContext
 from repro.analysis.dataflow import FunctionSummary
 from repro.analysis.project import (
@@ -33,8 +20,6 @@ from repro.analysis.project import (
     deprecations,
     module_name_for_path,
 )
-from repro.analysis.registry import all_rules
-from repro.analysis.violations import Violation
 
 
 def build_index(files):
@@ -244,113 +229,32 @@ class TestFunctionSummary:
         assert len(summary.env_writes()) == 1
 
 
-class TestAnalysisCache:
-    def _violation(self):
-        return Violation(
-            rule_id="RPR003",
-            path="m.py",
-            line=3,
-            col=4,
-            message="no asserts",
-            symbol="f",
-        )
-
-    def test_file_round_trip_and_sha_miss(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "c.json", "digest-a")
-        cache.put_file("m.py", "sha1", [self._violation()])
-        cache.save()
-
-        reopened = AnalysisCache(tmp_path / "c.json", "digest-a")
-        hit = reopened.get_file("m.py", "sha1")
-        assert hit is not None and hit[0].rule_id == "RPR003"
-        assert reopened.get_file("m.py", "sha2") is None
-
-    def test_ruleset_change_invalidates_everything(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "c.json", "digest-a")
-        cache.put_file("m.py", "sha1", [self._violation()])
-        cache.put_project("proj-digest", [])
-        cache.save()
-
-        other = AnalysisCache(tmp_path / "c.json", "digest-b")
-        assert other.get_file("m.py", "sha1") is None
-        assert other.get_project("proj-digest") is None
-
-    def test_corrupt_cache_is_a_cold_start(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text("{not json", encoding="utf-8")
-        cache = AnalysisCache(path, "digest-a")
-        assert cache.get_file("m.py", "sha1") is None
-
-    def test_ruleset_digest_tracks_rule_versions(self):
-        rules = all_rules()
-        base = ruleset_digest(rules)
-        assert base == ruleset_digest(list(reversed(rules)))
-        assert base != ruleset_digest(rules[:-1])
-
-    def test_project_digest_is_order_insensitive(self):
-        ruleset = "r"
-        pairs = [("a.py", content_hash("a")), ("b.py", content_hash("b"))]
-        assert project_digest(pairs, ruleset) == project_digest(
-            list(reversed(pairs)), ruleset
-        )
-        assert project_digest(pairs, ruleset) != project_digest(
-            pairs[:1], ruleset
-        )
-
-    def test_cache_version_mismatch_starts_empty(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": CACHE_VERSION + 1,
-                    "ruleset": "digest-a",
-                    "files": {"m.py": {"sha": "sha1", "findings": []}},
-                    "project": None,
-                }
+class TestSinglePass:
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
+        (tmp_path / "pyproject.toml").write_text("", encoding="utf-8")
+        (tmp_path / "pkg").mkdir()
+        files = {
+            "pkg/__init__.py": "from .b import g\n\n__all__ = [\"g\"]\n",
+            "pkg/a.py": "def f(x):\n    \"\"\"doc\"\"\"\n    assert x\n",
+            "pkg/b.py": (
+                "from .a import f\n\n\n"
+                "def g(x):\n    \"\"\"doc\"\"\"\n    return f(x)\n"
             ),
-            encoding="utf-8",
-        )
-        cache = AnalysisCache(path, "digest-a")
-        assert cache.get_file("m.py", "sha1") is None
+        }
+        for relpath, source in files.items():
+            (tmp_path / relpath).write_text(source, encoding="utf-8")
+        parsed = []
+        real_parse = ast.parse
 
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
 
-class TestEngineCaching:
-    def _project(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.reprolint]\n", encoding="utf-8"
-        )
-        (tmp_path / "a.py").write_text(
-            "def f(x):\n    \"\"\"doc\"\"\"\n    assert x\n", encoding="utf-8"
-        )
-        (tmp_path / "b.py").write_text(
-            "def g(x):\n    \"\"\"doc\"\"\"\n    return x\n", encoding="utf-8"
-        )
-        return LintConfig(root=tmp_path)
-
-    def test_warm_run_hits_cache_and_matches_cold(self, tmp_path):
-        config = self._project(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = analyze_paths([tmp_path], config=config, cache_path=cache)
-        warm = analyze_paths([tmp_path], config=config, cache_path=cache)
-
-        assert cold.cache_hits == 0 and not cold.project_cache_hit
-        assert warm.cache_hits == warm.files_checked
-        assert warm.project_cache_hit
-        assert [v.fingerprint() for v in warm.violations] == [
-            v.fingerprint() for v in cold.violations
-        ]
-
-    def test_editing_one_file_invalidates_only_it(self, tmp_path):
-        config = self._project(tmp_path)
-        cache = tmp_path / "cache.json"
-        analyze_paths([tmp_path], config=config, cache_path=cache)
-        (tmp_path / "b.py").write_text(
-            "def g(x):\n    \"\"\"doc\"\"\"\n    return x + 1\n",
-            encoding="utf-8",
-        )
-        third = analyze_paths([tmp_path], config=config, cache_path=cache)
-        assert third.cache_hits == third.files_checked - 1
-        assert not third.project_cache_hit
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = analyze_paths([tmp_path / "pkg"], root=tmp_path)
+        assert result.files_checked == len(files)
+        assert {v.rule_id for v in result.violations} == {"RPR003"}
+        assert sorted(parsed) == sorted(files)
 
 
 class TestSarifReport:
@@ -361,8 +265,7 @@ class TestSarifReport:
         (tmp_path / "m.py").write_text(
             "def f(x):\n    \"\"\"doc\"\"\"\n    assert x\n", encoding="utf-8"
         )
-        config = LintConfig(root=tmp_path)
-        result = analyze_paths([tmp_path], config=config)
+        result = analyze_paths([tmp_path], root=tmp_path)
         doc = json.loads(render_sarif(result))
 
         assert doc["version"] == "2.1.0"
@@ -380,50 +283,3 @@ class TestSarifReport:
             assert location["region"]["startLine"] >= 1
             assert "reprolintFingerprint/v1" in res["partialFingerprints"]
         assert run["invocations"][0]["exitCode"] == 1
-
-
-class TestChangedOnly:
-    def _git(self, cwd, *args):
-        return subprocess.run(
-            [
-                "git",
-                "-c",
-                "user.email=reprolint@example.invalid",
-                "-c",
-                "user.name=reprolint",
-                *args,
-            ],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-
-    def test_outside_git_falls_back_to_full_report(self, tmp_path):
-        (tmp_path / "m.py").write_text(
-            "def f(x):\n    \"\"\"doc\"\"\"\n    assert x\n", encoding="utf-8"
-        )
-        config = LintConfig(root=tmp_path)
-        result = analyze_paths([tmp_path], config=config, changed_only=True)
-        assert not result.changed_only
-        assert len(result.violations) == 1
-
-    def test_changed_only_reports_changed_files(self, tmp_path):
-        try:
-            self._git(tmp_path, "init", "-q")
-        except (OSError, subprocess.CalledProcessError):
-            pytest.skip("git unavailable")
-        committed = tmp_path / "old.py"
-        committed.write_text(
-            "def f(x):\n    \"\"\"doc\"\"\"\n    assert x\n", encoding="utf-8"
-        )
-        self._git(tmp_path, "add", "old.py")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-        fresh = tmp_path / "new.py"
-        fresh.write_text(
-            "def g(x):\n    \"\"\"doc\"\"\"\n    assert x\n", encoding="utf-8"
-        )
-        config = LintConfig(root=tmp_path)
-        result = analyze_paths([tmp_path], config=config, changed_only=True)
-        assert result.changed_only
-        assert {v.path for v in result.violations} == {"new.py"}

@@ -1,27 +1,9 @@
 """Tests for the benchmark harness utilities."""
 
-import time
-
 import pytest
 
-from repro.bench import Timer, format_table, measure
+from repro.bench import format_table, measure
 from repro.errors import ParameterError
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.02)
-        assert 0.01 < t.elapsed < 1.0
-
-    def test_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= first
 
 
 class TestMeasure:

@@ -271,27 +271,6 @@ class TestPlanCache:
 
 
 class TestCalibration:
-    def test_calibrate_from_results_dir(self, tmp_path):
-        (tmp_path / "ablation_kdv_methods.txt").write_text(
-            "Ablation A: KDV methods, quartic kernel, 128x96 grid\n"
-            "method   n      mean time\n"
-            "naive    1000   614.4 ms\n"
-            "naive    4000   2457.6 ms\n"
-        )
-        model = calibrate(results_dir=tmp_path)
-        # 2457.6 ms / (4000 * 12288) = 5e-8 s per point-pixel.
-        assert model.coefficient("naive_pp") == pytest.approx(5e-8, rel=1e-6)
-        assert "ablation_kdv_methods.txt" in model.source
-
-    def test_calibrate_from_repo_artifacts(self):
-        import pathlib
-
-        results = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
-        model = calibrate(results_dir=results)
-        for name in ("naive_pp", "sweep_unit", "dualtree_build",
-                     "dualtree_refine", "grid_f32_factor"):
-            assert model.coefficient(name) > 0.0
-
     def test_calibrate_from_traces_rescales(self, small_points, bbox):
         with obs.enabled():
             grid = kde_grid(small_points, bbox, SIZE, BW, method="auto")
@@ -302,11 +281,6 @@ class TestCalibration:
         model = calibrate(traces=[grid.diagnostics])
         assert model.coefficient(dominant) != before
         assert "obs traces" in model.source
-
-    def test_calibrate_missing_dir_is_noop(self, tmp_path):
-        before = dict(planner_mod.cost_model().coefficients)
-        model = calibrate(results_dir=tmp_path / "nope")
-        assert dict(model.coefficients) == before
 
 
 class TestPlanDiagnostics:

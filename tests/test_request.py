@@ -243,6 +243,17 @@ class TestPlanRequest:
         names = {child.name for child in diag.root.children}
         assert "request.kdv" in names
 
+    def test_execute_plans_auto_kdv_once(self):
+        from repro import obs
+        from repro.core.kdv import clear_plan_cache
+        clear_plan_cache()
+        req = KDVRequest(bandwidth=1.0, size=(32, 32))
+        with obs.enabled() as collector:
+            execute_request(req, POINTS, bbox=BBOX)
+        counters = collector.diagnostics().counters()
+        assert counters.get("kdv.plan.cache_miss") == 1
+        assert "kdv.plan.cache_hit" not in counters
+
     def test_top_level_exports(self):
         assert repro.KDVRequest is KDVRequest
         assert repro.execute_request is execute_request
