@@ -35,7 +35,10 @@ def as_points(points, name: str = "points", allow_empty: bool = False) -> np.nda
     existing arrays.  Rejects NaN/inf coordinates, wrong dimensionality and
     (by default) empty inputs.
     """
-    arr = np.asarray(points, dtype=np.float64)
+    try:
+        arr = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must be numeric coordinates: {exc}") from exc
     if arr.ndim == 1 and arr.size == 2:
         arr = arr.reshape(1, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:

@@ -38,11 +38,29 @@ def _bbox_tuple(bbox: BoundingBox) -> tuple[float, float, float, float]:
     return (bbox.xmin, bbox.ymin, bbox.xmax, bbox.ymax)
 
 
+def _as_bbox(bbox) -> BoundingBox:
+    """A :class:`BoundingBox` from one or from four numbers in wire order."""
+    if isinstance(bbox, BoundingBox):
+        return bbox
+    try:
+        values = [float(v) for v in bbox]
+    except (TypeError, ValueError):
+        values = []
+    if len(values) != 4:
+        raise ParameterError(
+            f"bbox must be four numbers (xmin, ymin, xmax, ymax), got {bbox!r}"
+        )
+    return BoundingBox(*values)
+
+
 def _as_times(times, n: int) -> np.ndarray:
     """Validated float64 times of length ``n`` (arrival index by default)."""
     if times is None:
         return np.arange(n, dtype=np.float64)
-    ts = np.asarray(times, dtype=np.float64).reshape(-1)
+    try:
+        ts = np.asarray(times, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"times must be numbers: {exc}") from exc
     if ts.shape[0] != n:
         raise DataError(
             f"times length {ts.shape[0]} does not match {n} points"
@@ -70,9 +88,15 @@ class Dataset:
         if pts.shape[0] == 0:
             raise DataError("a dataset needs at least one point")
         if bbox is None:
+            try:
+                margin = float(margin)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(
+                    f"margin must be a number, got {margin!r}"
+                ) from exc
             bbox = BoundingBox.of_points(pts, margin=margin)
-        elif not isinstance(bbox, BoundingBox):
-            bbox = BoundingBox(*tuple(float(v) for v in bbox))
+        else:
+            bbox = _as_bbox(bbox)
         self.name = name
         self.bbox = bbox
         self._lock = threading.Lock()

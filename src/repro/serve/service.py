@@ -109,6 +109,19 @@ class TileResult:
         }
 
 
+def _tile_dtype(dtype) -> str:
+    """The canonical name of a tile dtype: ``"float64"`` or ``"float32"``."""
+    try:
+        name = np.dtype(dtype).name
+    except (TypeError, SyntaxError):  # NumPy's parser raises both
+        name = None
+    if name not in ("float64", "float32"):
+        raise ParameterError(
+            f"tile dtype must be float64 or float32, got {dtype!r}"
+        )
+    return name
+
+
 class _Admission:
     """Bounded-concurrency gate that reports queueing pressure as gauges."""
 
@@ -203,7 +216,7 @@ class AnalyticsService:
             ]
 
     def _surface(self, dataset, zoom: int, bandwidth: float, kernel: str,
-                 dtype: str | None) -> MaintainedSurface:
+                 dtype: str) -> MaintainedSurface:
         key = (dataset.identity, zoom, bandwidth, kernel, dtype)
         with self._surfaces_lock:
             surface = self._surfaces.get(key)
@@ -211,7 +224,7 @@ class AnalyticsService:
                 surface = MaintainedSurface(
                     dataset, zoom, bandwidth, kernel=kernel,
                     tile_px=self.config.tile_px,
-                    dtype=np.dtype(dtype) if dtype is not None else None,
+                    dtype=np.dtype(dtype),
                 )
                 self._surfaces[key] = surface
                 self.stats.incr("surfaces.created")
@@ -220,7 +233,12 @@ class AnalyticsService:
     def tile(self, name: str, zoom: int, tx: int, ty: int,
              bandwidth: float, kernel: str = "quartic",
              dtype: str | None = None) -> TileResult:
-        """One pyramid tile, served from cache when its pixels are current."""
+        """One pyramid tile, served from cache when its pixels are current.
+
+        Every NumPy spelling of float64 (the default, ``None``) or float32
+        keys one surface and one cache entry per tile.
+        """
+        dtype = _tile_dtype(dtype)
         zoom = int(zoom)
         if not (0 <= zoom <= self.config.max_zoom):
             raise ParameterError(
@@ -258,7 +276,7 @@ class AnalyticsService:
         return result
 
     def _compute_tile(self, dataset, zoom: int, tx: int, ty: int,
-                      bandwidth: float, kernel: str, dtype: str | None
+                      bandwidth: float, kernel: str, dtype: str
                       ) -> TileResult:
         """Cold path: sync the maintained surface, slice the tile out."""
         with obs.enabled():

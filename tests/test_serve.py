@@ -1,8 +1,11 @@
 """Serving layer: cache, coalescer, datasets, service semantics, HTTP."""
 
+import http.client
+import io
 import json
 import threading
 import urllib.request
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.serve import (
     ServeConfig,
     create_server,
 )
+from repro.serve.frontend import ReproRequestHandler
 
 BBOX = repro.BoundingBox(0.0, 0.0, 8.0, 8.0)
 RNG = np.random.default_rng(42)
@@ -394,6 +398,22 @@ class TestServiceTiles:
                 ref = cold.tile("d", 1, tx, ty, bandwidth=0.6)
                 np.testing.assert_allclose(inc.values, ref.values, atol=1e-9)
 
+    def test_dtype_spellings_share_one_surface(self):
+        service = make_service()
+        tiles = {
+            dtype: service.tile("d", 1, 0, 0, bandwidth=0.8, dtype=dtype)
+            for dtype in (None, "float64", "float32", "f4", "<f4")
+        }
+        assert service.stats_snapshot()["surfaces"] == 2
+        assert tiles["float64"] is tiles[None]
+        assert tiles["f4"] is tiles["float32"] is tiles["<f4"]
+        assert tiles["float32"].values.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", ["foo", "int32", "float16", ","])
+    def test_unknown_dtype_rejected(self, dtype):
+        with pytest.raises(ParameterError, match="dtype"):
+            make_service().tile("d", 1, 0, 0, bandwidth=0.8, dtype=dtype)
+
 
 class TestServiceQuery:
     def test_query_kdv_and_result_cache(self):
@@ -470,6 +490,26 @@ def _post(base, path, payload):
     )
     with urllib.request.urlopen(req, timeout=10.0) as resp:
         return resp.status, json.loads(resp.read())
+
+
+def _request(base, method, path, body=b"", headers=()):
+    """One raw request over http.client: (status, headers, body bytes)."""
+    url = urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10.0)
+    try:
+        conn.putrequest(method, path)
+        for name, value in headers:
+            conn.putheader(name, value)
+        if not any(name.lower() == "content-length" for name, _ in headers):
+            conn.putheader("Content-Length", str(len(body)))
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, resp.headers, resp.read()
+    finally:
+        conn.close()
+
+
+_POINTS_BODY = {"points": [[1.0, 1.0], [2.0, 2.0]]}
 
 
 class TestHTTPFrontend:
@@ -557,3 +597,145 @@ class TestHTTPFrontend:
         assert snap["counters"]["requests.total"] >= 2
         assert snap["tile_cache_hit_rate"] > 0.0
         assert "p50" in snap["latency_ms"]["tile"]
+
+    @pytest.mark.parametrize("method,path,body,headers,field", [
+        ("POST", "/v1/datasets/x", b"[1]", (), "JSON object"),
+        ("POST", "/v1/ingest/d", b"[1]", (), "JSON object"),
+        ("POST", "/v1/ingest/d", b"5", (), "JSON object"),
+        ("POST", "/v1/datasets/x", {**_POINTS_BODY, "margin": "x"}, (),
+         "margin"),
+        ("POST", "/v1/datasets/x", {**_POINTS_BODY, "bbox": [0, 0, 4]}, (),
+         "bbox"),
+        ("POST", "/v1/datasets/x", {**_POINTS_BODY, "bbox": 4}, (), "bbox"),
+        ("POST", "/v1/datasets/x", {"points": "abc"}, (), "points"),
+        ("POST", "/v1/ingest/d", {"points": [[1.0, 1.0]], "times": ["t"]},
+         (), "times"),
+        ("POST", "/v1/ingest/d", b"{}", (("Content-Length", "abc"),),
+         "Content-Length"),
+        ("GET", "/v1/tile/d/1/0/0.json?bandwidth=0.8&dtype=foo", b"", (),
+         "dtype"),
+    ], ids=["create-list", "ingest-list", "ingest-number", "margin",
+            "bbox-3", "bbox-number", "points", "times", "content-length",
+            "dtype"])
+    def test_malformed_input_400(self, http_server, method, path, body,
+                                 headers, field):
+        base, service = http_server
+        if isinstance(body, dict):
+            body = json.dumps(body).encode()
+        status, response_headers, raw = _request(base, method, path, body,
+                                                 headers)
+        assert status == 400
+        if field == "Content-Length":  # the unread body ends the connection
+            assert response_headers["Connection"] == "close"
+        payload = json.loads(raw)
+        assert field in payload["error"]
+        assert payload["type"] in ("ParameterError", "DataError")
+        assert "x" not in service.store.names()
+
+    @pytest.mark.parametrize("path,status,kind", [
+        ("/v1/tile/ghost/1/0/0.json?bandwidth=0.8", 404, "ServeError"),
+        ("/v1/tile/d/1/0/0.json", 400, "ParameterError"),
+        ("/v1/datasets", 500, "ZeroDivisionError"),
+    ])
+    def test_error_body_shape(self, http_server, monkeypatch, path, status,
+                              kind):
+        base, service = http_server
+        monkeypatch.setattr(service, "datasets", lambda: 1 / 0)
+        got, headers, raw = _request(base, "GET", path)
+        assert got == status
+        assert headers["Content-Type"] == "application/json"
+        payload = json.loads(raw)
+        assert set(payload) == {"error", "type"}
+        assert payload["type"] == kind
+        assert service.stats_snapshot()["counters"][f"http.{status}"] == 1
+
+    def test_protocol_error_is_json_and_closes(self, http_server):
+        base, service = http_server
+        status, headers, raw = _request(base, "PUT", "/healthz")
+        assert status == 501
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(raw) == {"error": "Unsupported method ('PUT')",
+                                   "type": "HTTPError"}
+        assert service.stats_snapshot()["counters"]["http.501"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Transport: one socket write per response
+# ---------------------------------------------------------------------------
+
+
+class _CountingSocket:
+    """A connected-socket stand-in: canned request bytes in, sends counted."""
+
+    def __init__(self, request: bytes):
+        self._request = request
+        self.sends: list[bytes] = []
+
+    def makefile(self, mode, buffering=None):
+        return io.BytesIO(self._request)
+
+    def sendall(self, data) -> None:
+        self.sends.append(bytes(data))
+
+
+def _serve_one(service, request: bytes) -> list[bytes]:
+    """Drive one handler over a counting socket; the bytes of each send."""
+    handler = type("H", (ReproRequestHandler,), {"service": service})
+    sock = _CountingSocket(request)
+    handler(sock, ("127.0.0.1", 0), None)
+    return sock.sends
+
+
+def _raw_request(method: str, path: str, body: bytes = b"") -> bytes:
+    head = f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+    if body:
+        head += f"Content-Length: {len(body)}\r\n"
+    return head.encode("ascii") + b"\r\n" + body
+
+
+def _parse_response(data: bytes) -> http.client.HTTPResponse:
+    response = http.client.HTTPResponse(_CountingSocket(data))
+    response.begin()
+    return response
+
+
+class TestSingleWrite:
+    """Each response leaves in one send.
+
+    A body written after its headers is a second small segment, which
+    Nagle's algorithm holds until the client's delayed ACK: ≈40 ms added
+    to every small response.
+    """
+
+    @pytest.mark.parametrize("request_bytes,status,content_type", [
+        (_raw_request("GET", "/v1/tile/d/1/0/0.json?bandwidth=0.8"), 200,
+         "application/json"),
+        (_raw_request("GET", "/v1/tile/d/1/0/0.ppm?bandwidth=0.8"), 200,
+         "image/x-portable-pixmap"),
+        (_raw_request("POST", "/v1/datasets/fresh",
+                      json.dumps(_POINTS_BODY).encode()), 201,
+         "application/json"),
+        (_raw_request("GET", "/v1/teleport"), 404, "application/json"),
+        (_raw_request("GET", "/v1/tile/d/1/0/0.json"), 400,
+         "application/json"),
+        (_raw_request("GET", "/v1/datasets"), 500, "application/json"),
+        (_raw_request("PUT", "/v1/query", b"{}"), 501, "application/json"),
+        (b"GARBAGE\r\n\r\n", 400, "application/json"),
+    ], ids=["200-json", "200-ppm", "201", "404", "400", "500", "501",
+            "bad-request-line"])
+    def test_one_send_per_response(self, monkeypatch, request_bytes, status,
+                                   content_type):
+        service = make_service()
+        monkeypatch.setattr(service, "datasets", lambda: 1 / 0)
+        sends = _serve_one(service, request_bytes)
+        assert len(sends) == 1
+        response = _parse_response(sends[0])
+        assert response.version == 11
+        assert response.status == status
+        assert response.getheader("Content-Type") == content_type
+        body = response.read()
+        assert len(body) == int(response.getheader("Content-Length")) > 0
+        assert sends[0].endswith(body)
+        if content_type == "application/json":
+            assert ("error" in json.loads(body)) == (status >= 400)
