@@ -1,10 +1,10 @@
 """Ablation B: range-query-based K-function vs the O(n^2) baseline (§2.3).
 
 The paper: "existing solutions ... are still in O(n^2) time, which are not
-scalable".  The range-query backends (grid, kd-tree) restrict each point's
-scan to its s_max-neighbourhood, so on clustered data with a local
-threshold they scale near-linearly.  The ablation sweeps n and records the
-crossover and speedups.
+scalable".  The range-query backend (grid) restricts each point's scan to
+its s_max-neighbourhood, so on clustered data with a local threshold it
+scales near-linearly.  The ablation sweeps n and records the crossover and
+speedups.
 """
 
 from __future__ import annotations
@@ -34,16 +34,15 @@ def test_kfunction_naive(benchmark, n):
 
 
 @pytest.mark.parametrize("n", [1000, 4000, 16000])
-@pytest.mark.parametrize("method", ["grid", "kdtree"])
-def test_kfunction_indexed(benchmark, method, n):
+def test_kfunction_grid(benchmark, n):
     ds = chicago_crime(n, seed=72)
     counts = benchmark.pedantic(
         k_function, args=(ds.points, THRESHOLDS),
-        kwargs=dict(method=method),
+        kwargs=dict(method="grid"),
         rounds=2, iterations=1,
     )
     assert (np.diff(counts) >= 0).all()
-    ROWS.append([method, n, benchmark.stats.stats.mean])
+    ROWS.append(["grid", n, benchmark.stats.stats.mean])
 
 
 def test_methods_identical_counts(benchmark):
@@ -52,12 +51,11 @@ def test_methods_identical_counts(benchmark):
     def all_methods():
         return [
             k_function(ds.points, THRESHOLDS, method=m)
-            for m in ("naive", "grid", "kdtree")
+            for m in ("naive", "grid")
         ]
 
-    naive, grid, kdtree = benchmark.pedantic(all_methods, rounds=1, iterations=1)
+    naive, grid = benchmark.pedantic(all_methods, rounds=1, iterations=1)
     np.testing.assert_array_equal(naive, grid)
-    np.testing.assert_array_equal(naive, kdtree)
 
 
 def test_zz_report(benchmark):
@@ -77,5 +75,4 @@ def test_zz_report(benchmark):
             title="Ablation B: K-function backends, 8 thresholds up to s=2.0",
         )
 
-    text = benchmark.pedantic(report, rounds=1, iterations=1)
-    assert "kdtree" in text
+    benchmark.pedantic(report, rounds=1, iterations=1)

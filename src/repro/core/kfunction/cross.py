@@ -21,8 +21,9 @@ import numpy as np
 from ... import obs
 from ..._validation import as_points, check_thresholds
 from ...errors import ParameterError
-from ...index import GridIndex
+from ...index import threshold_counts
 from ...parallel import parallel_map, spawn_rngs
+from .planar import _threshold_grid
 
 __all__ = ["cross_k_function", "CrossKFunctionPlot", "cross_k_function_plot"]
 
@@ -36,13 +37,7 @@ def cross_k_function(points_a, points_b, thresholds) -> np.ndarray:
     a = as_points(points_a, name="points_a")
     b = as_points(points_b, name="points_b")
     ts = check_thresholds(thresholds)
-    rmax = float(ts.max())
-    if rmax <= 0.0:
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        flat = np.sort(d2, axis=None)
-        return np.searchsorted(flat, ts * ts, side="right").astype(np.int64)
-    index = GridIndex(b, cell_size=rmax)
-    return index.count_within_thresholds(a, ts).sum(axis=0).astype(np.int64)
+    return threshold_counts(_threshold_grid(b, ts), a, ts).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ import numpy as np
 from ..._validation import as_points, check_thresholds
 from ...errors import ParameterError
 from ...geometry import BoundingBox
-from ...index import GridIndex
+from ...index import threshold_counts
+from .planar import _threshold_grid
 
 __all__ = ["LocalKResult", "local_k_function"]
 
@@ -63,9 +64,7 @@ def local_k_function(
     if not isinstance(bbox, BoundingBox):
         raise ParameterError("bbox must be a BoundingBox")
 
-    rmax = float(ts.max())
-    index = GridIndex(pts, cell_size=max(rmax, 1e-12))
-    counts = index.count_within_thresholds(pts, ts) - 1  # drop self
+    counts = threshold_counts(_threshold_grid(pts, ts), pts, ts) - 1  # drop self
 
     # Binomial CSR null per threshold.
     p = np.clip(np.pi * ts * ts / bbox.area, 0.0, 1.0)
@@ -73,4 +72,4 @@ def local_k_function(
     var = (n - 1) * p * (1.0 - p)
     sd = np.sqrt(np.maximum(var, 1e-300))
     z = (counts - mean[None, :]) / sd[None, :]
-    return LocalKResult(thresholds=ts, counts=counts.astype(np.int64), z_scores=z)
+    return LocalKResult(thresholds=ts, counts=counts, z_scores=z)

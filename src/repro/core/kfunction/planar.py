@@ -1,14 +1,19 @@
 """Planar K-function (paper Definition 2) and Ripley's normalisation.
 
-Three backends mirror the paper's §2.3 taxonomy:
+Two backends mirror the paper's §2.3 taxonomy:
 
 * ``naive`` — the O(n^2) double sum the paper calls out as unscalable,
-  evaluated in memory-bounded chunks (and the only backend that supports
-  torus edge-correction, which needs raw displacements);
-* ``grid`` / ``kdtree`` — the range-query-based methods: one index walk per
-  point at the largest threshold, then multi-threshold batching via a
-  sorted-distances ``searchsorted`` (all D thresholds for the price of one
-  traversal).
+  evaluated in memory-bounded chunks (the exactness reference, and the
+  only backend that supports torus edge-correction, which needs raw
+  displacements);
+* ``grid`` — the range-query-based method: one grid walk per point at the
+  largest threshold, then multi-threshold batching via a sorted-distances
+  ``searchsorted`` (all D thresholds for the price of one traversal).
+
+Every grid count in the planar family (global, border-corrected, cross
+and local K) is :func:`repro.index.threshold_counts` over the grid that
+``_threshold_grid`` builds; its one cell-size floor means a zero threshold
+needs no special case anywhere.
 
 By default self-pairs are excluded (the spatstat convention).  The paper's
 Equation 2 literally sums over *all* ordered pairs including ``i = j``;
@@ -24,7 +29,7 @@ from ... import obs
 from ..._validation import as_points, check_thresholds
 from ...errors import ParameterError
 from ...geometry import BoundingBox
-from ...index import GridIndex, KDTree
+from ...index import GridIndex, threshold_counts
 
 __all__ = [
     "k_function",
@@ -35,7 +40,25 @@ __all__ = [
     "K_METHODS",
 ]
 
-K_METHODS = ("auto", "naive", "grid", "kdtree")
+K_METHODS = ("auto", "naive", "grid")
+
+#: Floor of the threshold grid's cell side.  A zero largest threshold
+#: (coincident points only) still gets a valid grid: the lattice cap keeps
+#: the cells as wide as ``GridIndex`` allows, and ``neighbor_d2`` accepts
+#: radius 0.
+_MIN_CELL = float(np.finfo(float).tiny)
+
+
+def _check_k_method(method: str) -> None:
+    if method not in K_METHODS:
+        raise ParameterError(
+            f"unknown K-function method {method!r}; available: {', '.join(K_METHODS)}"
+        )
+
+
+def _threshold_grid(points: np.ndarray, ts: np.ndarray) -> GridIndex:
+    """The grid every planar pair count walks: cells of the largest threshold."""
+    return GridIndex(points, cell_size=max(float(ts[-1]), _MIN_CELL))
 
 
 def _k_naive(
@@ -79,7 +102,7 @@ def k_function(
     thresholds:
         Sorted non-negative distance thresholds ``s_1 <= ... <= s_D``.
     method:
-        ``naive`` (O(n^2)), ``grid``, ``kdtree``, or ``auto`` (grid).
+        ``naive`` (O(n^2)), ``grid``, or ``auto`` (grid).
     bbox:
         Study window; required for ``edge_correction="torus"``.
     edge_correction:
@@ -107,33 +130,21 @@ def k_function(
     torus = edge_correction == "torus"
     if torus and bbox is None:
         raise ParameterError("torus edge correction requires bbox")
+    _check_k_method(method)
     if method == "auto":
         method = "grid"
+    if torus and method != "naive":
+        raise ParameterError(
+            "torus edge correction is only supported by method='naive'"
+        )
 
     obs.count("kfunction.points", n)
     obs.count(f"kfunction.method.{method}")
 
     if method == "naive":
         counts = _k_naive(pts, ts, bbox, torus, int(chunk))
-    elif method in ("grid", "kdtree"):
-        if torus:
-            raise ParameterError(
-                "torus edge correction is only supported by method='naive'"
-            )
-        rmax = float(ts.max())
-        if rmax <= 0.0:
-            # Only coincident points count; fall back to naive logic cheaply.
-            counts = _k_naive(pts, ts, bbox, False, int(chunk))
-        else:
-            if method == "grid":
-                index = GridIndex(pts, cell_size=rmax)
-            else:
-                index = KDTree(pts)
-            counts = index.count_within_thresholds(pts, ts).sum(axis=0)
     else:
-        raise ParameterError(
-            f"unknown K-function method {method!r}; available: {', '.join(K_METHODS)}"
-        )
+        counts = threshold_counts(_threshold_grid(pts, ts), pts, ts).sum(axis=0)
 
     # Ordered pairs (self-pairs included) admitted at the largest threshold.
     if ts.shape[0]:
@@ -180,12 +191,7 @@ def ripley_k(
     return ripley_normalize(counts, n, bbox)
 
 
-def border_ripley_k(
-    points,
-    thresholds,
-    bbox: BoundingBox,
-    method: str = "auto",
-) -> np.ndarray:
+def border_ripley_k(points, thresholds, bbox: BoundingBox) -> np.ndarray:
     """Border-corrected (reduced-sample) Ripley K.
 
     At threshold ``s`` only the points at least ``s`` away from the window
@@ -203,30 +209,7 @@ def border_ripley_k(
     n = pts.shape[0]
     if n < 2:
         raise ParameterError("border_ripley_k needs at least two points")
-    if method == "auto":
-        method = "grid"
-    if method == "grid":
-        rmax = max(float(ts.max()), np.finfo(float).tiny)
-        index = GridIndex(pts, cell_size=rmax)
-        table = index.count_within_thresholds(pts, ts) - 1  # drop self
-    elif method == "kdtree":
-        table = KDTree(pts).count_within_thresholds(pts, ts) - 1
-    elif method == "naive":
-        d2 = np.empty((n, n))
-        for start in range(0, n, 1024):
-            stop = min(start + 1024, n)
-            dx = pts[start:stop, 0][:, None] - pts[None, :, 0]
-            dy = pts[start:stop, 1][:, None] - pts[None, :, 1]
-            d2[start:stop] = dx * dx + dy * dy
-        d2_sorted = np.sort(d2, axis=1)
-        t2 = ts * ts
-        table = np.stack(
-            [np.searchsorted(row, t2, side="right") for row in d2_sorted]
-        ) - 1
-    else:
-        raise ParameterError(
-            f"unknown K-function method {method!r}; available: {', '.join(K_METHODS)}"
-        )
+    table = threshold_counts(_threshold_grid(pts, ts), pts, ts) - 1  # drop self
 
     boundary_dist = np.minimum.reduce(
         [

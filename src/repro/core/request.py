@@ -56,6 +56,7 @@ from .kdv.planner import (
     cost_model,
     plan_kdv,
 )
+from .kfunction.planar import _check_k_method
 
 __all__ = [
     "AnalyticsRequest",
@@ -79,9 +80,7 @@ def _register_kind(cls: type) -> type:
     return cls
 
 
-def _as_float_or_none(value, name: str):
-    if value is None:
-        return None
+def _as_float(value, name: str) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:
@@ -91,14 +90,48 @@ def _as_float_or_none(value, name: str):
     return out
 
 
-def _as_int_or_none(value, name: str):
-    if value is None:
-        return None
+def _as_int(value, name: str) -> int:
     try:
-        out = int(value)
-    except (TypeError, ValueError) as exc:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from exc
-    return out
+
+
+def _as_float_or_none(value, name: str):
+    return None if value is None else _as_float(value, name)
+
+
+def _as_int_or_none(value, name: str):
+    return None if value is None else _as_int(value, name)
+
+
+def _as_tuple(value, name: str, convert) -> tuple:
+    """A list of numbers (a JSON array on the wire), each through ``convert``."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise ParameterError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(convert(v, name) for v in value)
+
+
+def _as_floats_or_none(value, name: str):
+    return None if value is None else _as_tuple(value, name, _as_float)
+
+
+def _as_size(value, name: str) -> tuple[int, int]:
+    """A raster ``(nx, ny)`` of positive integers."""
+    size = _as_tuple(value, name, _as_int)
+    if len(size) != 2 or size[0] < 1 or size[1] < 1:
+        raise ParameterError(f"{name} must be (nx, ny) positive, got {value!r}")
+    return size
+
+
+def _coerce(request, convert, *names: str) -> None:
+    """Replace each named field of a frozen request by ``convert(value, name)``.
+
+    Every converter raises a :class:`ParameterError` naming the field, so a
+    malformed wire payload is a 400 that says what to fix.
+    """
+    for name in names:
+        object.__setattr__(request, name, convert(getattr(request, name), name))
 
 
 @dataclass(frozen=True)
@@ -226,30 +259,20 @@ class KDVRequest(AnalyticsRequest):
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        bandwidth = _as_float_or_none(self.bandwidth, "bandwidth")
-        if bandwidth is None or bandwidth <= 0.0:
+        _coerce(self, _as_float, "bandwidth")
+        if self.bandwidth <= 0.0:
             raise ParameterError(
                 f"bandwidth must be a positive number, got {self.bandwidth!r}"
             )
-        object.__setattr__(self, "bandwidth", bandwidth)
         _check_method(self.method)
-        size = tuple(int(v) for v in self.size)
-        if len(size) != 2 or size[0] < 1 or size[1] < 1:
-            raise ParameterError(f"size must be (nx, ny) positive, got {self.size!r}")
-        object.__setattr__(self, "size", size)
-        if self.bbox is not None:
-            box = tuple(float(v) for v in self.bbox)
-            if len(box) != 4:
-                raise ParameterError(
-                    f"bbox must be (xmin, ymin, xmax, ymax), got {self.bbox!r}"
-                )
-            object.__setattr__(self, "bbox", box)
-        object.__setattr__(self, "eps", _as_float_or_none(self.eps, "eps"))
-        object.__setattr__(self, "delta", _as_float_or_none(self.delta, "delta"))
-        object.__setattr__(self, "tau", _as_float_or_none(self.tau, "tau"))
-        object.__setattr__(self, "sample", _as_int_or_none(self.sample, "sample"))
-        object.__setattr__(self, "seed", _as_int_or_none(self.seed, "seed"))
-        object.__setattr__(self, "workers", _as_int_or_none(self.workers, "workers"))
+        _coerce(self, _as_size, "size")
+        _coerce(self, _as_floats_or_none, "bbox")
+        if self.bbox is not None and len(self.bbox) != 4:
+            raise ParameterError(
+                f"bbox must be (xmin, ymin, xmax, ymax), got {self.bbox!r}"
+            )
+        _coerce(self, _as_float_or_none, "eps", "delta", "tau")
+        _coerce(self, _as_int_or_none, "sample", "seed", "workers")
 
     def resolve_bbox(self, bbox: BoundingBox | None) -> BoundingBox:
         """The request's own window when set, else the caller's."""
@@ -283,19 +306,11 @@ class HotspotRequest(AnalyticsRequest):
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        size = tuple(int(v) for v in self.size)
-        if len(size) != 2 or size[0] < 1 or size[1] < 1:
-            raise ParameterError(f"size must be (nx, ny) positive, got {self.size!r}")
-        object.__setattr__(self, "size", size)
-        if self.thresholds is not None:
-            object.__setattr__(
-                self, "thresholds", tuple(float(t) for t in self.thresholds)
-            )
-        object.__setattr__(self, "n_simulations", int(self.n_simulations))
-        object.__setattr__(self, "quantile", float(self.quantile))
-        object.__setattr__(self, "min_pixels", int(self.min_pixels))
-        object.__setattr__(self, "seed", _as_int_or_none(self.seed, "seed"))
-        object.__setattr__(self, "workers", _as_int_or_none(self.workers, "workers"))
+        _coerce(self, _as_size, "size")
+        _coerce(self, _as_floats_or_none, "thresholds")
+        _coerce(self, _as_int, "n_simulations", "min_pixels")
+        _coerce(self, _as_float, "quantile")
+        _coerce(self, _as_int_or_none, "seed", "workers")
 
     def kwargs(self) -> dict:
         """``HotspotAnalysis.run`` keyword arguments for this request."""
@@ -339,23 +354,15 @@ class KFunctionRequest(AnalyticsRequest):
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.thresholds is not None:
-            object.__setattr__(
-                self, "thresholds", tuple(float(t) for t in self.thresholds)
-            )
-        n_thresholds = int(self.n_thresholds)
-        if n_thresholds < 1:
+        _check_k_method(self.method)
+        _coerce(self, _as_floats_or_none, "thresholds")
+        _coerce(self, _as_int, "n_thresholds", "n_simulations")
+        if self.n_thresholds < 1:
             raise ParameterError(
                 f"n_thresholds must be >= 1, got {self.n_thresholds!r}"
             )
-        object.__setattr__(self, "n_thresholds", n_thresholds)
-        object.__setattr__(
-            self, "max_threshold",
-            _as_float_or_none(self.max_threshold, "max_threshold"),
-        )
-        object.__setattr__(self, "n_simulations", int(self.n_simulations))
-        object.__setattr__(self, "seed", _as_int_or_none(self.seed, "seed"))
-        object.__setattr__(self, "workers", _as_int_or_none(self.workers, "workers"))
+        _coerce(self, _as_float_or_none, "max_threshold")
+        _coerce(self, _as_int_or_none, "seed", "workers")
 
     def resolve_thresholds(self, bbox: BoundingBox) -> np.ndarray:
         """Explicit thresholds, or the default ladder over ``bbox``."""

@@ -7,8 +7,9 @@ grids as the standard carriers).  They expose a common core:
 * ``range_indices(center, radius)`` / ``range_count(center, radius)``
 * ``neighbor_distances(center, radius)`` and the squared
   ``neighbor_d2(center, radius)`` (grid, kd-tree, dynamic grid)
-* ``count_within_thresholds(queries, thresholds)`` (grid, kd-tree) —
-  multi-threshold batching for K-function plots
+* the module-level ``threshold_counts(index, queries, thresholds)`` over
+  any of those three — the one multi-threshold pair counter of the planar
+  K-function family
 * node-level traversal with distance bounds (kd-tree, ball-tree) — carrier
   for the bound-based KDV refinement.
 
@@ -18,9 +19,11 @@ naive pair counts) agree on boundary and underflow cases.
 """
 
 from .balltree import BallTree
+from .counts import threshold_counts
 from .dynamic import DynamicGridIndex
 from .grid import GridIndex
 from .kdtree import KDTree
 from .rangetree import RangeTree
 
-__all__ = ["BallTree", "DynamicGridIndex", "GridIndex", "KDTree", "RangeTree"]
+__all__ = ["BallTree", "DynamicGridIndex", "GridIndex", "KDTree", "RangeTree",
+           "threshold_counts"]

@@ -1,7 +1,7 @@
 """Uniform grid (bucket) index over a planar point set.
 
 The grid index is the workhorse behind the cutoff-based KDV backend, the
-grid-accelerated K-function, and DBSCAN: points are hashed into square cells
+planar K-function family, and DBSCAN: points are hashed into square cells
 of a chosen size, and a range query only inspects the O((r/cell)^2) cells
 overlapping the query disc.
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_points, check_non_negative, check_positive
-from ..errors import ParameterError
 from ..geometry import BoundingBox
 from ..geometry.distance import search_reach, squared_norm, within
 
@@ -152,34 +151,6 @@ class GridIndex:
         """Unsorted distances from ``center`` to every point within ``radius``."""
         radius = check_positive(radius, "radius")
         return np.sqrt(self.neighbor_d2(center, radius))
-
-    def count_within(self, queries, radius: float) -> np.ndarray:
-        """Vector of range counts for many query points at one radius."""
-        q = as_points(queries, name="queries", allow_empty=True)
-        return np.array(
-            [self.range_count(row, radius) for row in q], dtype=np.int64
-        )
-
-    def count_within_thresholds(self, queries, thresholds) -> np.ndarray:
-        """Counts for many queries at many (sorted) radii in one pass.
-
-        Returns an ``(nq, nt)`` matrix: one grid walk per query at the
-        largest radius, then ``searchsorted`` of the squared thresholds
-        distributes candidates over thresholds (the :func:`~repro.geometry.
-        distance.within` test per threshold).  This is the multi-threshold
-        batching used by the K-function plot.
-        """
-        q = as_points(queries, name="queries", allow_empty=True)
-        ts = np.asarray(thresholds, dtype=np.float64).ravel()
-        if ts.size == 0:
-            raise ParameterError("thresholds must contain at least one value")
-        rmax = max(float(ts.max()), 0.0)
-        t2 = np.copysign(ts * ts, ts)  # a negative threshold admits nothing
-        out = np.zeros((q.shape[0], ts.size), dtype=np.int64)
-        for i, row in enumerate(q):
-            d2 = np.sort(self.neighbor_d2(row, rmax))
-            out[i, :] = np.searchsorted(d2, t2, side="right")
-        return out
 
     def __len__(self) -> int:
         return int(self.points.shape[0])

@@ -2,7 +2,7 @@
 
 The tree supports the three access patterns the analytics layer needs:
 
-* **range queries / range counts** for the K-function backends,
+* **range queries / range counts** for distance-band spatial weights,
 * **k-nearest-neighbour queries** for IDW and kriging neighbourhoods,
 * **node-level traversal with distance bounds** for the bound-based KDV
   (QUAD/KARL-style function approximation), which needs, for any node, the
@@ -290,20 +290,6 @@ class KDTree:
             return np.empty(0, dtype=np.float64)
         block = self._sorted_points[pos]
         return squared_norm(block[:, 0] - x, block[:, 1] - y)
-
-    def count_within_thresholds(self, queries, thresholds) -> np.ndarray:
-        """(nq, nt) range counts at many sorted radii; one traversal each."""
-        q = as_points(queries, name="queries", allow_empty=True)
-        ts = np.asarray(thresholds, dtype=np.float64).ravel()
-        if ts.size == 0:
-            raise ParameterError("thresholds must contain at least one value")
-        rmax = max(float(ts.max()), 0.0)
-        t2 = np.copysign(ts * ts, ts)  # a negative threshold admits nothing
-        out = np.zeros((q.shape[0], ts.size), dtype=np.int64)
-        for i, row in enumerate(q):
-            d2 = np.sort(self.neighbor_d2(row, rmax))
-            out[i, :] = np.searchsorted(d2, t2, side="right")
-        return out
 
     # -- nearest neighbours ----------------------------------------------------
 

@@ -11,8 +11,8 @@ only the pairs that involve entering or leaving events:
   the pairs among themselves) and inserted.
 
 Both directions cost one grid range query per changed event at the
-largest threshold — the same multi-threshold ``searchsorted`` batching
-as the batch grid backend — so a slide touching ``k`` events costs
+largest threshold — the same :func:`~repro.index.threshold_counts` as
+the batch grid backend — so a slide touching ``k`` events costs
 ``O(k)`` queries instead of the batch's ``O(n)``.
 
 All maintained state is an integer pair-count vector, and the dynamic
@@ -35,7 +35,7 @@ from ..core.kfunction import ripley_normalize
 from ..errors import ParameterError
 from ..geometry import BoundingBox
 from ..geometry.distance import squared_norm, within
-from ..index import DynamicGridIndex
+from ..index import DynamicGridIndex, threshold_counts
 from ..obs import Diagnostics
 from ..parallel import parallel_starmap
 from .window import StreamDelta
@@ -46,19 +46,6 @@ __all__ = ["StreamKSnapshot", "StreamingKFunction"]
 #: worker count — and harmless to determinism anyway: chunk results are
 #: exact int64 counts, and integer addition is order-independent.
 _QUERY_CHUNK = 512
-
-
-def _query_chunk(
-    index: DynamicGridIndex, pts: np.ndarray, ts: np.ndarray
-) -> np.ndarray:
-    """Summed multi-threshold counts of one query chunk (worker callable)."""
-    rmax = float(ts[-1])
-    t2 = ts * ts
-    out = np.zeros(ts.shape[0], dtype=np.int64)
-    for row in pts:
-        d2 = np.sort(index.neighbor_d2(row, rmax))
-        out += np.searchsorted(d2, t2, side="right")
-    return out
 
 
 @dataclass(frozen=True)
@@ -134,19 +121,18 @@ class StreamingKFunction:
     def _cross_counts(self, queries: np.ndarray) -> np.ndarray:
         """Pair counts of each query against the *current* index, summed."""
         n = queries.shape[0]
-        if n == 0:
-            return np.zeros(self.thresholds.shape[0], dtype=np.int64)
         if n <= _QUERY_CHUNK:
-            return _query_chunk(self._index, queries, self.thresholds)
+            table = threshold_counts(self._index, queries, self.thresholds)
+            return table.sum(axis=0)
         jobs = [
             (self._index, queries[c0:c0 + _QUERY_CHUNK], self.thresholds)
             for c0 in range(0, n, _QUERY_CHUNK)
         ]
         with obs.span("kfunction.queries"):
-            parts = parallel_starmap(
-                _query_chunk, jobs, workers=self.workers, backend=self.backend
+            tables = parallel_starmap(
+                threshold_counts, jobs, workers=self.workers, backend=self.backend
             )
-        return np.sum(parts, axis=0, dtype=np.int64)
+        return np.concatenate(tables).sum(axis=0)
 
     def _within_counts(self, pts: np.ndarray) -> np.ndarray:
         """Unordered pair counts among ``pts`` (same arithmetic as batch)."""

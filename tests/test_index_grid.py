@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.geometry import BoundingBox
-from repro.index import DynamicGridIndex, GridIndex, KDTree
+from repro.index import DynamicGridIndex, GridIndex, KDTree, threshold_counts
 
 
 def brute_indices(points, center, radius):
@@ -41,14 +41,14 @@ class TestGridIndexQueries:
     def test_count_within_many_queries(self, random_points):
         index = GridIndex(random_points, cell_size=1.0)
         queries = random_points[:10]
-        counts = index.count_within(queries, 2.0)
+        counts = threshold_counts(index, queries, [2.0])[:, 0]
         for q, c in zip(queries, counts):
             assert c == len(brute_indices(random_points, q, 2.0))
 
     def test_multi_threshold_counts(self, random_points):
         index = GridIndex(random_points, cell_size=2.0)
         thresholds = np.array([0.5, 1.0, 2.0])
-        table = index.count_within_thresholds(random_points[:8], thresholds)
+        table = threshold_counts(index, random_points[:8], thresholds)
         assert table.shape == (8, 3)
         for row, q in zip(table, random_points[:8]):
             for c, s in zip(row, thresholds):
@@ -59,7 +59,7 @@ class TestGridIndexQueries:
     def test_zero_threshold_counts_coincident(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
         index = GridIndex(pts, cell_size=1.0)
-        table = index.count_within_thresholds(pts, np.array([0.0]))
+        table = threshold_counts(index, pts, np.array([0.0]))
         assert table[:, 0].tolist() == [2, 2, 1]
 
 
@@ -88,7 +88,7 @@ class TestGridIndexConstruction:
     def test_empty_thresholds_rejected(self, random_points):
         index = GridIndex(random_points, cell_size=1.0)
         with pytest.raises(ParameterError):
-            index.count_within_thresholds(random_points[:2], [])
+            threshold_counts(index, random_points[:2], [])
 
 
 class TestNeighborD2:
@@ -116,6 +116,17 @@ class TestNeighborD2:
             d2 = np.sort(index.neighbor_d2((5.0, 5.0), 2.5))
             d = np.sort(index.neighbor_distances((5.0, 5.0), 2.5))
             np.testing.assert_array_equal(np.sqrt(d2), d)
+
+    def test_threshold_counts_agree_on_every_index(self, random_points):
+        pts = np.vstack([random_points, random_points[:20]])
+        ts = np.array([0.0, 0.5, 1.0, 2.5])
+        want = np.stack([
+            [len(brute_indices(pts, q, s)) for s in ts] for q in pts[:30]
+        ])
+        for index in self._indexes(pts):
+            table = threshold_counts(index, pts[:30], ts)
+            assert table.dtype == np.int64
+            np.testing.assert_array_equal(table, want)
 
 
 class TestDynamicGridTinyCells:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.index import BallTree, KDTree
+from repro.index import BallTree, KDTree, threshold_counts
 
 
 def brute_indices(points, center, radius):
@@ -137,10 +137,10 @@ class TestKDTreeSpecific:
         ref = np.sort(ref[ref <= 2.0])
         np.testing.assert_allclose(d, ref, atol=1e-12)
 
-    def test_count_within_thresholds(self, random_points):
+    def test_threshold_counts(self, random_points):
         tree = KDTree(random_points)
         ts = np.array([0.5, 1.5, 3.0])
-        table = tree.count_within_thresholds(random_points[:6], ts)
+        table = threshold_counts(tree, random_points[:6], ts)
         for row, q in zip(table, random_points[:6]):
             for c, s in zip(row, ts):
                 assert c == len(brute_indices(random_points, q, s))

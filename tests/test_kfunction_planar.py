@@ -3,32 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.core.kfunction import k_function, l_function, ripley_k
+from repro.core.kfunction import (
+    border_ripley_k,
+    cross_k_function,
+    k_function,
+    l_function,
+    local_k_function,
+    ripley_k,
+)
 from repro.data import csr
 from repro.errors import ParameterError
-from repro.geometry import BoundingBox, pairwise_distances
+from repro.geometry import BoundingBox
+from repro.stream import StreamEngine, StreamingKFunction, StreamWindow
+
+
+def brute_table(queries, points, thresholds):
+    """``(nq, D)`` Definition-2 counts: points within ``s`` of each query."""
+    d = np.sqrt(((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    return np.stack([(d <= s).sum(axis=1) for s in thresholds], axis=1)
 
 
 def brute_counts(points, thresholds, include_self=False):
-    d = pairwise_distances(points)
-    out = []
-    for s in thresholds:
-        c = int((d <= s).sum())
-        if not include_self:
-            c -= points.shape[0]
-        out.append(c)
-    return np.array(out)
+    counts = brute_table(points, points, thresholds).sum(axis=0)
+    return counts if include_self else counts - points.shape[0]
 
 
 class TestMethodAgreement:
     THRESHOLDS = np.array([0.3, 0.8, 1.5, 3.0, 6.0])
 
-    @pytest.mark.parametrize("method", ["naive", "grid", "kdtree"])
+    @pytest.mark.parametrize("method", ["naive", "grid"])
     def test_matches_brute_force(self, method, clustered_points):
         got = k_function(clustered_points, self.THRESHOLDS, method=method)
         np.testing.assert_array_equal(got, brute_counts(clustered_points, self.THRESHOLDS))
 
-    @pytest.mark.parametrize("method", ["naive", "grid", "kdtree"])
+    @pytest.mark.parametrize("method", ["naive", "grid"])
     def test_include_self_adds_n(self, method, small_points):
         ts = np.array([1.0, 2.0])
         a = k_function(small_points, ts, method=method)
@@ -66,6 +74,63 @@ class TestMethodAgreement:
         """Ordered-pair counts without self-pairs are always even."""
         counts = k_function(random_points, np.array([1.0, 3.0]))
         assert (counts % 2 == 0).all()
+
+
+class TestCoincidentPointsAtZero:
+    """Every planar entry point against Definition 2 on coincident points,
+    with a threshold of exactly 0.0 (which counts only those)."""
+
+    BBOX = BoundingBox(0.0, 0.0, 20.0, 12.0)
+    THRESHOLDS = np.array([0.0, 0.0, 0.7, 2.0])
+
+    @pytest.fixture()
+    def points(self):
+        base = csr(150, self.BBOX, seed=61)
+        return np.vstack([base, base[:40], base[:12], [[5.0, 5.0]] * 4])
+
+    @pytest.mark.parametrize("ts", [[0.0], THRESHOLDS], ids=["zero", "mixed"])
+    @pytest.mark.parametrize("method", ["naive", "grid"])
+    def test_k_function(self, points, method, ts):
+        np.testing.assert_array_equal(
+            k_function(points, ts, method=method), brute_counts(points, ts)
+        )
+
+    @pytest.mark.parametrize("ts", [[0.0], THRESHOLDS], ids=["zero", "mixed"])
+    def test_cross_k_function(self, points, ts):
+        a, b = points[::2], points[1::2]
+        np.testing.assert_array_equal(
+            cross_k_function(a, b, ts), brute_table(a, b, ts).sum(axis=0)
+        )
+
+    @pytest.mark.parametrize("ts", [[0.0], THRESHOLDS], ids=["zero", "mixed"])
+    def test_local_k_function(self, points, ts):
+        result = local_k_function(points, ts, self.BBOX)
+        np.testing.assert_array_equal(
+            result.counts, brute_table(points, points, ts) - 1
+        )
+
+    @pytest.mark.parametrize("ts", [[0.0], THRESHOLDS], ids=["zero", "mixed"])
+    def test_border_ripley_k(self, points, ts):
+        table = brute_table(points, points, ts) - 1
+        margin = np.minimum.reduce([
+            points[:, 0], 20.0 - points[:, 0], points[:, 1], 12.0 - points[:, 1],
+        ])
+        want = [self.BBOX.area / points.shape[0] * table[margin >= s, d].mean()
+                for d, s in enumerate(ts)]
+        np.testing.assert_allclose(
+            border_ripley_k(points, ts, self.BBOX), want, rtol=1e-12
+        )
+
+    def test_pushed_streaming_k(self, points):
+        eng = StreamEngine(StreamWindow(capacity=120))
+        kf = StreamingKFunction(self.BBOX, self.THRESHOLDS)
+        eng.register("k", kf)
+        times = np.arange(points.shape[0], dtype=np.float64)
+        for c0 in range(0, points.shape[0], 50):
+            eng.push(points[c0:c0 + 50], times[c0:c0 + 50])
+            np.testing.assert_array_equal(
+                kf.counts, brute_counts(eng.window.points, self.THRESHOLDS)
+            )
 
 
 class TestEdgeCorrection:

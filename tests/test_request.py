@@ -86,6 +86,35 @@ class TestRoundTrip:
             request_from_dict({"kind": "kdv", "bandwidth": 1.0,
                                "method": "gridcut"})
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("kdv", "size", ["a", 2]),
+        ("kdv", "size", 5),
+        ("kdv", "bbox", [0.0, 0.0, "x", 1.0]),
+        ("hotspot", "size", ["a", 2]),
+        ("hotspot", "n_simulations", "abc"),
+        ("hotspot", "quantile", "hi"),
+        ("hotspot", "min_pixels", [2]),
+        ("hotspot", "thresholds", ["a", 1.0]),
+        ("hotspot", "thresholds", 3),
+        ("kfunction", "n_thresholds", "x"),
+        ("kfunction", "n_simulations", "abc"),
+        ("kfunction", "n_simulations", float("inf")),
+        ("kfunction", "thresholds", [1.0, None]),
+    ])
+    def test_malformed_numeric_field_is_named(self, kind, field, value):
+        payload = {"kind": kind, field: value}
+        if kind == "kdv":
+            payload["bandwidth"] = 1.0
+        with pytest.raises(ParameterError, match=field):
+            request_from_dict(payload)
+
+    @pytest.mark.parametrize("method", ["kdtree", "bogus"])
+    def test_unknown_k_method_rejected_at_construction(self, method):
+        with pytest.raises(ParameterError, match="auto, naive, grid"):
+            KFunctionRequest(method=method)
+        with pytest.raises(ParameterError, match="unknown K-function method"):
+            request_from_dict({"kind": "kfunction", "method": method})
+
 
 class TestFingerprint:
     def test_stable_across_construction_order(self):

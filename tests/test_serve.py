@@ -614,9 +614,15 @@ class TestHTTPFrontend:
          "Content-Length"),
         ("GET", "/v1/tile/d/1/0/0.json?bandwidth=0.8&dtype=foo", b"", (),
          "dtype"),
+        ("POST", "/v1/query",
+         {"kind": "kfunction", "dataset": "d", "n_simulations": "abc"}, (),
+         "n_simulations"),
+        ("POST", "/v1/query",
+         {"kind": "kfunction", "dataset": "d", "method": "kdtree"}, (),
+         "K-function method"),
     ], ids=["create-list", "ingest-list", "ingest-number", "margin",
             "bbox-3", "bbox-number", "points", "times", "content-length",
-            "dtype"])
+            "dtype", "query-number", "query-k-method"])
     def test_malformed_input_400(self, http_server, method, path, body,
                                  headers, field):
         base, service = http_server
