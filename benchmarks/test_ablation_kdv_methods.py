@@ -38,7 +38,7 @@ def test_kdv_naive(benchmark, n):
 
 
 @pytest.mark.parametrize("n", [1000, 4000, 16000])
-@pytest.mark.parametrize("method", ["grid", "sweep", "parallel", "sampling"])
+@pytest.mark.parametrize("method", ["grid", "sweep", "sampling"])
 def test_kdv_fast_methods(benchmark, method, n):
     ds = chicago_crime(n, seed=71)
     kwargs = dict(kernel="quartic", method=method)

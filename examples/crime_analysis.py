@@ -33,12 +33,13 @@ def kdv_shootout(data) -> None:
         ("naive", {}),
         ("grid", {}),
         ("sweep", {}),
-        ("parallel", {"workers": 4}),
+        ("naive", {"workers": 4}),
         ("bounds", {"eps": 0.1, "kernel": "gaussian", "size": (32, 24)}),
         ("sampling", {"eps": 0.05, "seed": 3}),
     ]:
         kernel = kwargs.pop("kernel", "quartic")
         grid_size = kwargs.pop("size", size)
+        label = f"{method}/{kwargs['workers']}w" if "workers" in kwargs else method
         start = time.perf_counter()
         grid = kde_grid(
             data.points, data.bbox, grid_size, bandwidth,
@@ -46,14 +47,14 @@ def kdv_shootout(data) -> None:
         )
         elapsed = time.perf_counter() - start
         note = ""
-        if method == "naive":
+        if reference is None:
             reference = grid
         elif kernel == "quartic" and grid_size == size and reference is not None:
             err = grid.max_abs_difference(reference) / max(reference.max, 1e-12)
             note = f"max dev vs naive: {err:.2e} of peak"
         elif grid_size != size:
             note = f"(on {grid_size[0]}x{grid_size[1]}; per-pixel Python refinement)"
-        print(f"  {method:9s} ({kernel:9s}): {elapsed * 1e3:8.1f} ms  {note}")
+        print(f"  {label:9s} ({kernel:9s}): {elapsed * 1e3:8.1f} ms  {note}")
     print()
 
 

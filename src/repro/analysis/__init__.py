@@ -28,13 +28,7 @@ from .baseline import Baseline, BaselineEntry, load_baseline, save_entries, writ
 from .cli import build_parser, main
 from .config import find_project_root
 from .engine import AnalysisResult, analyze_paths, analyze_source, iter_python_files
-from .project import (
-    Deprecation,
-    ProjectIndex,
-    ProjectRule,
-    deprecations,
-    register_deprecation,
-)
+from .project import ProjectIndex, ProjectRule
 from .registry import Rule, all_rules, get_rule, rule_ids
 from .reporting import render_json, render_sarif, render_text
 from .violations import PARSE_ERROR_ID, Violation
@@ -43,7 +37,6 @@ __all__ = [
     "AnalysisResult",
     "Baseline",
     "BaselineEntry",
-    "Deprecation",
     "PARSE_ERROR_ID",
     "ProjectIndex",
     "ProjectRule",
@@ -53,13 +46,11 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "build_parser",
-    "deprecations",
     "find_project_root",
     "get_rule",
     "iter_python_files",
     "load_baseline",
     "main",
-    "register_deprecation",
     "render_json",
     "render_sarif",
     "render_text",

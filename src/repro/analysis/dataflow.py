@@ -11,8 +11,8 @@ means "free in exactly this scope".
 The summaries are the substrate that
 :mod:`repro.analysis.project` attaches to every function in the
 :class:`~repro.analysis.project.ProjectIndex`; the RPR011 (kwarg
-forwarding), RPR013 (worker-callable purity) and RPR014 (deprecated
-symbols) rules are thin queries over them.
+forwarding) and RPR013 (worker-callable purity) rules are thin queries
+over them.
 """
 
 from __future__ import annotations

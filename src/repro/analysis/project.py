@@ -6,11 +6,6 @@ of the codebase: which module defines which function, what every import
 alias points at, which calls resolve to which project functions, and a
 lazy :class:`~repro.analysis.dataflow.FunctionSummary` per function.
 Everything is stdlib ``ast``; nothing is imported or executed.
-
-The index also hosts the **deprecation registry** consumed by RPR014 —
-a table of symbols that still work at runtime but must not gain new call
-sites — so retiring an API is one :func:`register_deprecation` line, not
-a new rule.
 """
 
 from __future__ import annotations
@@ -25,14 +20,11 @@ from .registry import Rule
 from .violations import Violation
 
 __all__ = [
-    "Deprecation",
     "FunctionInfo",
     "ModuleInfo",
     "ProjectIndex",
     "ProjectRule",
-    "deprecations",
     "module_name_for_path",
-    "register_deprecation",
 ]
 
 #: Leading path components stripped when deriving module names.
@@ -110,13 +102,6 @@ class FunctionInfo:
     def has_kwargs(self) -> bool:
         """True when the signature ends in ``**kwargs``."""
         return self.node.args.kwarg is not None
-
-    @property
-    def returns(self) -> str | None:
-        """The return annotation as source text, if present."""
-        if self.node.returns is None:
-            return None
-        return ast.unparse(self.node.returns)
 
     def accepts(self, param: str) -> bool:
         """True when ``param`` is an explicitly named parameter."""
@@ -448,129 +433,3 @@ class ProjectRule(Rule):
             message=message,
             symbol=module.ctx.qualname(node),
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class Deprecation:
-    """One entry in the deprecation table consumed by RPR014.
-
-    ``kind`` is ``"attribute"`` (``owner`` is a class name, ``attr`` the
-    deprecated attribute) or ``"function"`` (``qualname`` is the absolute
-    dotted path of a deprecated callable).
-    """
-
-    kind: str
-    replacement: str
-    since: str
-    qualname: str = ""
-    owner: str = ""
-    attr: str = ""
-
-
-_DEPRECATIONS: dict[str, Deprecation] = {}
-
-
-def register_deprecation(entry: Deprecation) -> Deprecation:
-    """Add one entry to the deprecation table (idempotent by key)."""
-    key = entry.qualname or f"{entry.owner}.{entry.attr}"
-    _DEPRECATIONS[key] = entry
-    return entry
-
-
-def deprecations() -> tuple[Deprecation, ...]:
-    """The registered deprecation table, in registration order."""
-    return tuple(_DEPRECATIONS.values())
-
-
-register_deprecation(
-    Deprecation(
-        kind="attribute",
-        owner="DensityGrid",
-        attr="stats",
-        replacement="DensityGrid.diagnostics.records['refinement']",
-        since="PR 5 (observability subsystem)",
-    )
-)
-
-# The per-module scatter loops superseded by repro.core.scatter.  The
-# functions themselves were deleted; registering them keeps RPR014
-# flagging any straggler that reintroduces or re-imports one.
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.streaming.MultiSurfaceAccumulator._scatter",
-        replacement="repro.core.scatter.PatchScatter.scatter",
-        since="PR 7 (scatter core)",
-    )
-)
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.nkdv._scatter_event",
-        replacement="repro.core.scatter.scatter_line",
-        since="PR 7 (scatter core)",
-    )
-)
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.nkdv._scatter_event_split",
-        replacement="repro.core.scatter.scatter_line",
-        since="PR 7 (scatter core)",
-    )
-)
-
-# The single-surface accumulator class named below is deleted: the
-# streaming engine's StreamingKDV owns the window, the drift policy and
-# the dirty-tile ledger, and drives a one-surface MultiSurfaceAccumulator
-# directly.  The entry keeps RPR014 flagging any import that reintroduces
-# the class.
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.streaming.KDVAccumulator",
-        replacement="repro.stream.StreamingKDV",
-        since="PR 9 (streaming engine)",
-    )
-)
-
-# The positional per-method KDV entry points (kde_gridcut(problem, tail,
-# dtype) and friends) are superseded by the unified keyword surface of
-# kde_grid(method=...) / KDVRequest — one signature the planner, the
-# request layer and the server all share.  They are no longer on the
-# ``repro.core.kdv`` surface; registered under those *package-surface*
-# qualnames, the entries flag any import that puts them back, while the
-# registry and the ST sweeps reach the implementations through their
-# defining modules (the sanctioned internal path).
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.kde_gridcut",
-        replacement="repro.core.kdv.kde_grid(method='grid')",
-        since="PR 10 (analytics service layer)",
-    )
-)
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.kde_naive",
-        replacement="repro.core.kdv.kde_grid(method='naive')",
-        since="PR 10 (analytics service layer)",
-    )
-)
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.kde_parallel",
-        replacement="repro.core.kdv.kde_grid(method='parallel')",
-        since="PR 10 (analytics service layer)",
-    )
-)
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.kde_sweep",
-        replacement="repro.core.kdv.kde_grid(method='sweep')",
-        since="PR 10 (analytics service layer)",
-    )
-)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from . import (  # noqa: F401  (imported for their registration side effect)
     api_surface,
     code_hygiene,
-    deprecation_contracts,
     determinism_contracts,
     error_discipline,
     kernel_contracts,
@@ -25,7 +24,6 @@ from . import (  # noqa: F401  (imported for their registration side effect)
 __all__ = [
     "api_surface",
     "code_hygiene",
-    "deprecation_contracts",
     "determinism_contracts",
     "error_discipline",
     "kernel_contracts",

@@ -118,14 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     kdv.add_argument("--ascii", action="store_true", help="print a terminal preview")
     kdv.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for the parallel/dualtree methods (default: "
+        help="worker count for the naive/dualtree methods (default: "
              "REPRO_WORKERS; with --method auto, a planning hint that "
              "steers the cost model toward the parallel-capable backends)",
     )
     kdv.add_argument(
         "--backend", default=None, choices=["serial", "thread", "process"],
-        help="executor backend for the parallel/dualtree methods "
-             "(default: REPRO_BACKEND; dualtree output is bit-identical "
+        help="executor backend for the naive/dualtree methods "
+             "(default: REPRO_BACKEND; the output is bit-identical "
              "for every choice)",
     )
     kdv.add_argument(

@@ -18,7 +18,6 @@ from .bounds import kde_bounds
 from .dualtree import kde_dualtree
 from .gridcut import kde_gridcut
 from .naive import kde_naive
-from .parallel import kde_parallel
 from .sampling import kde_sampling
 from .sweep import kde_sweep
 
@@ -76,7 +75,10 @@ def _grid_cost(c, f: Features) -> float:
 
 
 def _naive_cost(c, f: Features) -> float:
-    return c("naive_pp") * _n(f) * _npx(f)
+    # Each worker past the first pays a fixed dispatch overhead, so a tiny
+    # problem is not fanned out just because workers are available.
+    return (c("parallel_overhead") * (float(f.get("workers", 1)) - 1.0)
+            + c("naive_pp") * _n(f) * _npx(f) / _speedup(f))
 
 
 def _sweep_cost(c, f: Features) -> float:
@@ -90,11 +92,6 @@ def _sweep_infeasible(f: Features) -> str | None:
     if f["sub_pixel"]:
         return "sub-pixel bandwidth stresses the sweep's cancellation"
     return None
-
-
-def _parallel_cost(c, f: Features) -> float:
-    return (c("parallel_overhead") * float(f.get("workers", 1))
-            + c("parallel_pp") * _n(f) * _npx(f) / _speedup(f))
 
 
 def _dualtree_cost(c, f: Features) -> float:
@@ -128,11 +125,9 @@ BACKENDS: dict[str, Backend] = {b.name: b for b in (
             calibrates="grid_pp", auto=True),
     Backend("sweep", kde_sweep, _sweep_cost, infeasible=_sweep_infeasible,
             calibrates="sweep_unit", auto=True),
-    Backend("naive", kde_naive, _naive_cost, calibrates="naive_pp",
-            auto=True),
-    Backend("parallel", kde_parallel, _parallel_cost,
+    Backend("naive", kde_naive, _naive_cost,
             params={"workers": None, "backend": None},
-            calibrates="parallel_pp", auto=True),
+            calibrates="naive_pp", auto=True),
     Backend("dualtree", kde_dualtree, _dualtree_cost,
             params={"tau": _TAU, "workers": None, "backend": None},
             calibrates="dualtree_refine", auto=True),

@@ -1,4 +1,4 @@
-"""Public KDV entry point: one function, nine interchangeable backends.
+"""Public KDV entry point: one function, eight interchangeable backends.
 
 ``kde_grid`` is the library's Definition 1: colour every pixel of an
 ``nx x ny`` grid by the kernel density value of Equation 1.  The
@@ -10,8 +10,7 @@ method        algorithm                                             result
 ``auto``      cost-based planner over the exact family              as chosen
 ``grid``      support-cutoff scatter                                exact*
 ``sweep``     SLAM-style sweep line, O(Y(X + n))                    exact
-``naive``     brute-force O(XYn) gather                             exact
-``parallel``  ``naive``'s gather over row bands on worker lanes     exact
+``naive``     brute-force O(XYn) gather over row bands on workers   exact
 ``dualtree``  parallel tile-vs-node block refinement                |err|<=tau/2
 ``bounds``    per-pixel kd/ball-tree function approximation         (1±eps)
 ``sampling``  reweighted uniform subset (Equation 7)                prob.
@@ -31,7 +30,7 @@ among it, and what it costs.  The method names, the keyword audit and
 dispatch below are derived from it.  ``dualtree`` spends its
 ``|err| <= tau/2`` budget against the total weight and attaches a
 :class:`~repro.core.kdv.dualtree.RefinementStats` record to
-``diagnostics.records["refinement"]``; ``dualtree`` and ``parallel`` run
+``diagnostics.records["refinement"]``; ``naive`` and ``dualtree`` run
 their hot loop through :mod:`repro.parallel` under the bit-identical
 worker-invariance contract.  Every backend reports into :mod:`repro.obs`
 when tracing is active.
@@ -121,10 +120,12 @@ def kde_grid(
         Guarantee / sample-size parameters for ``bounds`` (``eps`` only)
         and ``sampling``; defaults ``eps=0.05``, ``delta=0.05``.
     workers, backend:
-        Worker count and executor backend for ``parallel`` and
+        Worker count and executor backend for ``naive`` and
         ``dualtree`` (see :mod:`repro.parallel`; ``workers=None`` uses
         the shared default, i.e. ``REPRO_WORKERS`` /
         :func:`repro.parallel.set_default_workers`, falling back to 1).
+        They change wall time only: the output is bit-identical for
+        every setting.
     index:
         Carrier index for ``bounds``: ``"kdtree"`` (default) or
         ``"balltree"``.

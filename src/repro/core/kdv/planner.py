@@ -142,11 +142,13 @@ class CostModel:
     guessed — they are fitted to this repository's committed benchmark
     artefacts:
 
-    * ``naive_pp`` / ``parallel_pp`` / ``sweep_unit`` — the per-unit
-      slopes of the gather and sweep rows of
-      ``benchmarks/results/ablation_kdv_methods.txt`` (quartic kernel,
-      128x96 grid; e.g. naive 1.923 s / (4000 * 12288) ≈ 3.9e-8 s per
-      point-pixel distance evaluation);
+    * ``naive_pp`` / ``sweep_unit`` — the per-unit slopes of the gather
+      and sweep rows of ``benchmarks/results/ablation_kdv_methods.txt``
+      (quartic kernel, 128x96 grid; e.g. naive 1.923 s / (4000 * 12288)
+      ≈ 3.9e-8 s per point-pixel distance evaluation);
+    * ``parallel_overhead`` — the fixed cost of each worker past the
+      first; with k workers the divisible phase of ``naive`` and
+      ``dualtree`` runs ``k ** 0.85`` times faster;
     * ``dualtree_build`` / ``dualtree_refine`` — the plan and execute
       phases of ``BENCH_dualtree_parallel.json`` /
       ``BENCH_scatter_core.json`` (20k events, 256x192, gaussian,
@@ -183,7 +185,6 @@ class CostModel:
 
 _DEFAULT_COEFFICIENTS: dict[str, float] = {
     "naive_pp": 3.2e-8,
-    "parallel_pp": 3.0e-8,
     "parallel_overhead": 2.0e-3,
     "grid_base": 4.0e-3,
     "grid_pp": 3.0e-9,

@@ -55,7 +55,7 @@ from ..parallel import parallel_map
 from ..raster import DensityGrid
 from .kdv.base import KDVProblem
 from .kdv.gridcut import kde_gridcut
-from .kdv.naive import kde_naive
+from .kdv.naive import _gather
 from .kdv.streaming import MultiSurfaceAccumulator
 from .kdv.sweep import kde_sweep
 from .kernels import Kernel, get_kernel, temporal_expansion_matrix
@@ -132,7 +132,8 @@ def _naive_frame_task(task):
         obs.count("stkdv.points_scattered", pts.shape[0])
         w = k_t.evaluate(np.abs(ts_vals - t), b_t)
         problem = KDVProblem(pts, bbox, size, b_s, k_s, weights=w)
-        return kde_naive(problem).values
+        # Already inside a worker: one direct gather, no nested pool.
+        return problem.make_grid(_gather(problem, *problem.pixel_centers())).values
 
 
 def _window_frame_task(task):

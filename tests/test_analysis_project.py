@@ -7,7 +7,6 @@ reporter.
 """
 
 import ast
-import importlib
 import json
 
 import pytest
@@ -15,11 +14,7 @@ import pytest
 from repro.analysis import ProjectIndex, analyze_paths, render_sarif
 from repro.analysis.context import ModuleContext
 from repro.analysis.dataflow import FunctionSummary
-from repro.analysis.project import (
-    FunctionInfo,
-    deprecations,
-    module_name_for_path,
-)
+from repro.analysis.project import FunctionInfo, module_name_for_path
 
 
 def build_index(files):
@@ -36,30 +31,6 @@ def summarize(source, aliases=None, module_roots=None):
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     )
     return FunctionSummary(func, aliases=aliases, module_roots=module_roots)
-
-
-def _resolve(qualname: str):
-    """Import the longest module prefix of ``qualname``, then getattr the rest."""
-    parts = qualname.split(".")
-    for cut in range(len(parts), 0, -1):
-        try:
-            obj = importlib.import_module(".".join(parts[:cut]))
-        except ImportError:
-            continue
-        for attr in parts[cut:]:
-            obj = getattr(obj, attr)
-        return obj
-    raise ImportError(qualname)
-
-
-class TestDeprecationTable:
-    def test_deprecated_functions_are_deleted(self):
-        """RPR014 entries outlive their symbols: none may still import."""
-        entries = [d for d in deprecations() if d.kind == "function"]
-        assert entries
-        for entry in entries:
-            with pytest.raises((ImportError, AttributeError)):
-                _resolve(entry.qualname)
 
 
 class TestModuleNaming:

@@ -598,75 +598,6 @@ class TestRPR013WorkerPurity:
         assert "RPR013" not in ids_of(analyze_source(src))
 
 
-class TestRPR014DeprecatedSymbol:
-    GRID = (
-        "class DensityGrid:\n"
-        '    """doc"""\n'
-    )
-
-    def test_flags_deprecated_attribute_on_constructor_result(self):
-        src = self.GRID + (
-            "def use():\n"
-            '    """doc"""\n'
-            "    grid = DensityGrid()\n"
-            "    return grid.stats\n"
-        )
-        found = [v for v in analyze_source(src) if v.rule_id == "RPR014"]
-        assert found and "DensityGrid.stats is deprecated" in found[0].message
-
-    def test_flags_deprecated_attribute_via_return_annotation(self):
-        src = self.GRID + (
-            "def make() -> DensityGrid:\n"
-            '    """doc"""\n'
-            "    return DensityGrid()\n"
-            "def use():\n"
-            '    """doc"""\n'
-            "    return make().stats\n"
-        )
-        assert "RPR014" in ids_of(analyze_source(src))
-
-    def test_accepts_replacement_attribute(self):
-        src = self.GRID + (
-            "def use():\n"
-            '    """doc"""\n'
-            "    grid = DensityGrid()\n"
-            "    return grid.diagnostics\n"
-        )
-        assert "RPR014" not in ids_of(analyze_source(src))
-
-    def test_unknown_types_are_not_guessed(self):
-        src = (
-            "def use(grid):\n"
-            '    """doc"""\n'
-            "    return grid.stats\n"
-        )
-        assert "RPR014" not in ids_of(analyze_source(src))
-
-    def test_function_deprecation_flags_call_and_import(self, monkeypatch):
-        from repro.analysis import Deprecation, register_deprecation
-        from repro.analysis import project as project_mod
-
-        monkeypatch.setattr(
-            project_mod, "_DEPRECATIONS", dict(project_mod._DEPRECATIONS)
-        )
-        register_deprecation(
-            Deprecation(
-                kind="function",
-                qualname="legacy.old_fn",
-                replacement="legacy.new_fn",
-                since="PR 6",
-            )
-        )
-        src = (
-            "from legacy import old_fn\n"
-            "def use():\n"
-            '    """doc"""\n'
-            "    return old_fn()\n"
-        )
-        found = [v for v in analyze_source(src) if v.rule_id == "RPR014"]
-        assert len(found) == 2  # the import and the call site
-
-
 class TestRPR015SpanDiscipline:
     CORE = "src/repro/core/fake.py"
 
@@ -849,8 +780,9 @@ class TestRegistry:
         assert expected <= set(rule_ids())
 
     def test_project_rules_registered(self):
-        expected = {f"RPR01{i}" for i in range(1, 6)}
+        expected = {"RPR011", "RPR012", "RPR013", "RPR015"}
         assert expected <= set(rule_ids())
+        assert "RPR014" not in rule_ids()  # retired, never reused
 
     def test_unknown_rule_raises(self):
         with pytest.raises(AnalysisError, match="unknown rule"):

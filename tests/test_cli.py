@@ -208,7 +208,7 @@ class TestKdvCommand:
         monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
         code = main(
             ["kdv", str(events_csv), "--bandwidth", "1.5",
-             "--size", "32x24", "--method", "parallel"]
+             "--size", "32x24", "--method", "naive"]
         )
         assert code == 1
         assert "REPRO_WORKERS" in capsys.readouterr().err

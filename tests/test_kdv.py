@@ -15,7 +15,6 @@ from repro.core.kdv import (
 )
 from repro.core.kdv.gridcut import kde_gridcut
 from repro.core.kdv.naive import kde_naive
-from repro.core.kdv.parallel import kde_parallel
 from repro.core.kdv.sweep import kde_sweep
 from repro.core.kernels import KERNELS
 from repro.errors import DataError, ParameterError
@@ -45,14 +44,14 @@ class TestBackendAgreement:
 
     def test_parallel_exact(self, clustered_points, bbox):
         ref = reference(clustered_points, bbox, "quartic")
-        got = kde_parallel(
+        got = kde_naive(
             KDVProblem(clustered_points, bbox, SIZE, BW, "quartic"), workers=3
         )
         assert got.max_abs_difference(ref) < 1e-10
 
     def test_parallel_single_worker(self, clustered_points, bbox):
         ref = reference(clustered_points, bbox, "gaussian")
-        got = kde_parallel(
+        got = kde_naive(
             KDVProblem(clustered_points, bbox, SIZE, BW, "gaussian"), workers=1
         )
         assert got.max_abs_difference(ref) < 1e-10
@@ -199,13 +198,14 @@ class TestWorkersDefault:
         """An invalid REPRO_WORKERS must surface — proof the env is read."""
         monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
         with pytest.raises(ParameterError, match="REPRO_WORKERS"):
-            kde_grid(small_points, bbox, SIZE, BW, method="parallel")
+            kde_grid(small_points, bbox, SIZE, BW, method="naive")
 
     def test_env_default_workers_used(self, clustered_points, bbox, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        grid = kde_grid(clustered_points, bbox, SIZE, BW, method="parallel")
-        ref = kde_grid(clustered_points, bbox, SIZE, BW, method="naive")
-        assert grid.max_abs_difference(ref) < 1e-9 * max(ref.max, 1.0)
+        grid = kde_grid(clustered_points, bbox, SIZE, BW, method="naive")
+        ref = kde_grid(clustered_points, bbox, SIZE, BW, method="naive",
+                       workers=1)
+        assert np.array_equal(grid.values, ref.values)
 
 
 class TestKdeGridAPI:
@@ -308,14 +308,14 @@ class TestKdeGridParameterAudit:
         with pytest.raises(ParameterError, match="workers"):
             kde_grid(small_points, bbox, SIZE, BW, method="grid", workers=2)
 
-    def test_backend_with_naive_raises(self, small_points, bbox):
+    def test_backend_with_sweep_raises(self, small_points, bbox):
         with pytest.raises(ParameterError, match="backend"):
-            kde_grid(small_points, bbox, SIZE, BW, method="naive",
+            kde_grid(small_points, bbox, SIZE, BW, method="sweep",
                      backend="thread")
 
-    def test_workers_with_dualtree_and_parallel_accepted(self, small_points, bbox):
+    def test_workers_with_dualtree_and_naive_accepted(self, small_points, bbox):
         kde_grid(small_points, bbox, SIZE, BW, method="dualtree", workers=2)
-        kde_grid(small_points, bbox, SIZE, BW, method="parallel", workers=2)
+        kde_grid(small_points, bbox, SIZE, BW, method="naive", workers=2)
 
     def test_weights_with_bounds_raises(self, small_points, bbox, rng):
         w = rng.uniform(size=small_points.shape[0])
@@ -328,8 +328,7 @@ class TestKdeGridParameterAudit:
             kde_grid(small_points, bbox, SIZE, BW, method="sampling", weights=w)
 
     @pytest.mark.parametrize(
-        "method", ["naive", "grid", "sweep", "parallel", "adaptive",
-                   "dualtree", "auto"]
+        "method", ["naive", "grid", "sweep", "adaptive", "dualtree", "auto"]
     )
     def test_weights_accepted_everywhere_else(self, method, small_points,
                                               bbox, rng):
@@ -340,7 +339,7 @@ class TestKdeGridParameterAudit:
     def test_defaults_never_trigger_the_audit(self, small_points, bbox):
         """All-default keywords must work with every method."""
         for method in ("naive", "grid", "sweep", "bounds", "dualtree",
-                       "sampling", "parallel", "adaptive", "auto"):
+                       "sampling", "adaptive", "auto"):
             kde_grid(small_points, bbox, (8, 6), BW, method=method)
 
 

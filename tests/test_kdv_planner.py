@@ -62,7 +62,7 @@ class TestGoldenDecisionTable:
             _uniform_problem(16_000, (128, 96), 16.0, "quartic"),
             {"workers": 4},
         )
-        assert plan.method in ("parallel", "dualtree")
+        assert plan.method in ("naive", "dualtree")
         assert plan.kwargs == {"workers": 4}
         assert not plan.dropped
 
@@ -80,8 +80,7 @@ class TestGoldenDecisionTable:
 
     def test_costs_cover_every_feasible_backend(self):
         plan = plan_kdv(_uniform_problem(1_000, (64, 48), 8.0, "quartic"))
-        assert set(plan.costs) == {"grid", "sweep", "naive", "parallel",
-                                   "dualtree"}
+        assert set(plan.costs) == {"grid", "sweep", "naive", "dualtree"}
         assert all(c > 0.0 for c in plan.costs.values())
         assert plan.cost == plan.costs[plan.method]
 
@@ -156,13 +155,13 @@ class TestWorkersDefault:
         parallel.set_default_workers(8)
         plan = plan_kdv(self._big_gaussian())
         assert plan.workers == 8
-        assert plan.method in ("parallel", "dualtree")
+        assert plan.method in ("naive", "dualtree")
 
     def test_env_workers_read(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "8")
         plan = plan_kdv(self._big_gaussian())
         assert plan.workers == 8
-        assert plan.method in ("parallel", "dualtree")
+        assert plan.method in ("naive", "dualtree")
 
     def test_parallel_choice_bit_identical_to_serial_run(self, small_points,
                                                          bbox):
@@ -172,7 +171,7 @@ class TestWorkersDefault:
         auto = kde_grid(small_points, bbox, SIZE, BW, method="auto",
                         workers=4)
         plan = auto.diagnostics.records["kdv.plan"]
-        assert plan["method"] in ("parallel", "dualtree")
+        assert plan["method"] in ("naive", "dualtree")
         serial = kde_grid(small_points, bbox, SIZE, BW,
                           method=plan["method"], workers=1)
         assert np.array_equal(auto.values, serial.values)

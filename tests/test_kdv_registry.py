@@ -2,20 +2,21 @@
 
 Every ``kde_grid`` backend is one record in ``repro.core.kdv._registry``;
 these tests pin the derived tables, the docs that must list the same
-methods, and the one gather ``naive`` and ``parallel`` share.
+methods, and the one exact gather ``naive`` runs at every worker count.
 """
 
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.analysis import deprecations
-from repro.core.kdv import KDV_METHODS, api, kde_grid
+from repro.core.kdv import KDV_METHODS, KDVProblem, api, kde_grid, naive
 from repro.core.kdv._registry import BACKENDS
 from repro.core.kdv.planner import AUTO_CANDIDATES, _METHOD_ONLY_PARAMS
 from repro.errors import ParameterError
+from repro.geometry import BoundingBox
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -25,8 +26,7 @@ class TestDerivedTables:
         assert KDV_METHODS == ("auto", *BACKENDS)
 
     def test_auto_candidates_keep_the_tiebreak_order(self):
-        assert AUTO_CANDIDATES == ("grid", "sweep", "naive", "parallel",
-                                   "dualtree")
+        assert AUTO_CANDIDATES == ("grid", "sweep", "naive", "dualtree")
 
     def test_method_only_params(self):
         assert _METHOD_ONLY_PARAMS == {
@@ -36,8 +36,8 @@ class TestDerivedTables:
             "seed": ("sampling",),
             "index": ("bounds",),
             "tau": ("dualtree",),
-            "workers": ("parallel", "dualtree"),
-            "backend": ("parallel", "dualtree"),
+            "workers": ("naive", "dualtree"),
+            "backend": ("naive", "dualtree"),
             "dtype": ("grid",),
         }
 
@@ -65,18 +65,9 @@ class TestDocsListTheRegistry:
         assert _table_methods(table) == list(KDV_METHODS)
 
 
-def test_rpr014_kde_grid_replacements_name_registered_methods():
-    named = [
-        re.search(r"kde_grid\(method='(\w+)'\)", d.replacement)
-        for d in deprecations()
-    ]
-    methods = [m.group(1) for m in named if m is not None]
-    assert methods
-    assert set(methods) <= set(BACKENDS)
-
-
 class TestOneGather:
-    """``parallel`` is ``naive``'s gather over row bands: bit-identical."""
+    """``naive`` gathers over fixed row bands in byte-sized chunks, so its
+    bits follow neither ``workers``/``backend`` nor the chunk split."""
 
     @pytest.mark.parametrize("kernel", ["quartic", "gaussian"])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -84,19 +75,61 @@ class TestOneGather:
                                    kernel, weighted):
         weights = (rng.uniform(0.5, 1.5, size=clustered_points.shape[0])
                    if weighted else None)
-        naive = kde_grid(clustered_points, bbox, (48, 36), 1.5,
-                         kernel=kernel, method="naive", weights=weights)
-        for workers in (1, 2, 4):
-            par = kde_grid(clustered_points, bbox, (48, 36), 1.5,
-                           kernel=kernel, method="parallel",
-                           weights=weights, workers=workers)
-            assert np.array_equal(par.values, naive.values)
+        # An nx that is not a multiple of 4 catches a weighted reduction
+        # whose bits depend on how many rows a chunk holds.
+        for size in ((48, 36), (31, 29), (25, 17)):
+            serial = kde_grid(clustered_points, bbox, size, 1.5,
+                              kernel=kernel, method="naive", weights=weights,
+                              workers=1)
+            for backend in ("serial", "thread"):
+                for workers in (1, 2, 4):
+                    par = kde_grid(clustered_points, bbox, size, 1.5,
+                                   kernel=kernel, method="naive",
+                                   weights=weights, workers=workers,
+                                   backend=backend)
+                    assert np.array_equal(par.values, serial.values), (
+                        size, backend, workers)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bits_do_not_follow_the_chunk_size(self, clustered_points, bbox,
+                                               rng, monkeypatch, weighted):
+        weights = (rng.uniform(0.5, 1.5, size=clustered_points.shape[0])
+                   if weighted else None)
+        problem = KDVProblem(clustered_points, bbox, (31, 29), 1.5,
+                             "quartic", weights=weights)
+        ref = naive.kde_naive(problem).values
+        row_bytes = 8 * clustered_points.shape[0]
+        for rows in (1, 3, 5, 6, 7, 4096):
+            monkeypatch.setattr(naive, "_CHUNK_BYTES", row_bytes * rows)
+            assert np.array_equal(naive.kde_naive(problem).values, ref), rows
 
     def test_bands_larger_than_one_chunk(self, clustered_points, bbox):
-        # workers=1 splits 128 rows into 4 bands of 160 x 32 = 5120
-        # pixels, so each band spans two 4096-pixel chunks.
-        naive = kde_grid(clustered_points, bbox, (160, 128), 1.5,
-                         method="naive")
+        # 128 rows make 16 bands of 160 x 8 = 1280 pixels, each spanning
+        # two chunks of the ~2 MiB budget at n = 400.
+        chunk = naive._CHUNK_BYTES // (8 * clustered_points.shape[0])
+        assert chunk < 160 * 128 // naive._BANDS
+        serial = kde_grid(clustered_points, bbox, (160, 128), 1.5,
+                          method="naive", workers=1)
         par = kde_grid(clustered_points, bbox, (160, 128), 1.5,
-                       method="parallel", workers=1)
-        assert np.array_equal(par.values, naive.values)
+                       method="naive", workers=2, backend="thread")
+        assert np.array_equal(par.values, serial.values)
+
+
+class TestGatherMemory:
+    """The gather's temporaries are sized in bytes, not pixels."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_peak_stays_under_64_mib(self, weighted):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(0.0, 100.0, size=(5_000, 2))
+        weights = rng.uniform(0.5, 1.5, size=5_000) if weighted else None
+        bbox = BoundingBox(0.0, 0.0, 100.0, 100.0)
+        tracemalloc.start()
+        try:
+            grid = kde_grid(points, bbox, (64, 64), 5.0, method="naive",
+                            weights=weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.values.max() > 0.0
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"

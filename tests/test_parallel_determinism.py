@@ -224,17 +224,16 @@ class TestFixedPartitionDeterminism:
                         backend=backend)
             assert np.array_equal(got.values, ref.values)
 
-    def test_kde_parallel_matches_any_worker_count(self, crime):
+    def test_kde_naive_matches_any_worker_count(self, crime):
         from repro.core.kdv import kde_grid
 
         bbox = crime.bbox
-        ref = kde_grid(crime.points, bbox, (48, 32), 2.0, method="parallel",
+        ref = kde_grid(crime.points, bbox, (48, 32), 2.0, method="naive",
                        workers=1)
         for workers in WORKER_GRID:
-            got = kde_grid(crime.points, bbox, (48, 32), 2.0, method="parallel",
+            got = kde_grid(crime.points, bbox, (48, 32), 2.0, method="naive",
                            workers=workers)
-            # Bands write disjoint slices, but the band *split* follows the
-            # worker count, so equality here is allclose-exact per pixel.
+            # The band split is fixed and bands write disjoint slices.
             np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=0)
 
 
@@ -328,7 +327,7 @@ class TestTraceDeterminism:
 
         self._assert_invariant(self._trace(
             lambda w, b: kde_grid(crime.points, crime.bbox, (32, 24), 2.0,
-                                  method="parallel", workers=w, backend=b)
+                                  method="naive", workers=w, backend=b)
         ))
 
     def test_dualtree_trace(self, crime):

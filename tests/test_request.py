@@ -226,7 +226,7 @@ class TestPlanRequest:
         assert isinstance(plan, RequestPlan)
         assert plan.kind == "kdv"
         assert plan.method in ("grid", "gridcut", "sweep", "sampling",
-                               "dualtree", "parallel", "naive")
+                               "dualtree", "naive")
         assert plan.cost >= 0.0
         assert plan.detail is not None  # the full KDVPlan audit trail
 

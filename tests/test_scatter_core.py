@@ -328,18 +328,19 @@ class TestNaiveBoundaryRegression:
         assert grid.values[4, 4] == expected
         assert expected > 0.0
 
-    @pytest.mark.parametrize("method", ["naive", "parallel"])
-    def test_boundary_matches_gridcut(self, method):
+    @pytest.mark.parametrize("workers", [pytest.param(1, id="naive"),
+                                         pytest.param(2, id="parallel")])
+    def test_boundary_matches_gridcut(self, workers):
         # The scatter backend always used difference-form distances; after
-        # the fix the brute-force backends agree with it bit-for-bit on
-        # finite-support kernels.
+        # the fix the brute-force gather agrees with it bit-for-bit on
+        # finite-support kernels, serially and over worker bands.
         bbox = BoundingBox(100.0, 100.0, 108.0, 108.0)
         rng = np.random.default_rng(31)
         pts = 100.0 + rng.uniform(0.0, 8.0, (60, 2))
         ref = kde_grid(pts, bbox, (16, 12), 1.0, kernel="uniform",
                        method="grid")
         got = kde_grid(pts, bbox, (16, 12), 1.0, kernel="uniform",
-                       method=method)
+                       method="naive", workers=workers)
         assert np.array_equal(got.values, ref.values)
 
 
