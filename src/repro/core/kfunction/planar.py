@@ -6,9 +6,10 @@ Two backends mirror the paper's §2.3 taxonomy:
   evaluated in memory-bounded chunks (the exactness reference, and the
   only backend that supports torus edge-correction, which needs raw
   displacements);
-* ``grid`` — the range-query-based method: one grid walk per point at the
-  largest threshold, then multi-threshold batching via a sorted-distances
-  ``searchsorted`` (all D thresholds for the price of one traversal).
+* ``grid`` — the range-query-based method: one batched cell-block pass
+  over every point's neighbours at the largest threshold, then
+  multi-threshold binning against the sorted squared thresholds (all D
+  thresholds for the price of one pass).
 
 Every grid count in the planar family (global, border-corrected, cross
 and local K) is :func:`repro.index.threshold_counts` over the grid that
@@ -44,7 +45,7 @@ K_METHODS = ("auto", "naive", "grid")
 
 #: Floor of the threshold grid's cell side.  A zero largest threshold
 #: (coincident points only) still gets a valid grid: the lattice cap keeps
-#: the cells as wide as ``GridIndex`` allows, and ``neighbor_d2`` accepts
+#: the cells as wide as ``GridIndex`` allows, and the pair kernel accepts
 #: radius 0.
 _MIN_CELL = float(np.finfo(float).tiny)
 

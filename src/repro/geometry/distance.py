@@ -56,7 +56,8 @@ def within(d2, radius):
 
     ``d2`` is :func:`squared_norm` of the float coordinate differences
     ``(px - qx, py - qy)``.  A multi-threshold count is the same test
-    per threshold: ``searchsorted(sorted_d2, ts * ts, side="right")``.
+    per threshold: bin each ``d2`` with ``searchsorted(sorted_t2, d2,
+    side="left")`` and ``cumsum`` the bins (``repro.index.threshold_counts``).
     """
     return d2 <= radius * radius
 

@@ -5,8 +5,10 @@ range-query-based methods cite kd-trees [21], ball-trees [71] and uniform
 grids as the standard carriers).  They expose a common core:
 
 * ``range_indices(center, radius)`` / ``range_count(center, radius)``
-* ``neighbor_distances(center, radius)`` and the squared
-  ``neighbor_d2(center, radius)`` (grid, kd-tree, dynamic grid)
+* ``neighbor_distances(center, radius)``, the squared
+  ``neighbor_d2(center, radius)`` and the batched
+  ``neighbor_pairs(queries, radius)`` (grid, kd-tree, dynamic grid; both
+  grids answer through one vectorised cell-block kernel)
 * the module-level ``threshold_counts(index, queries, thresholds)`` over
   any of those three — the one multi-threshold pair counter of the planar
   K-function family

@@ -1,29 +1,123 @@
-"""Multi-threshold neighbour counts over any index with ``neighbor_d2``.
+"""Batched pair counts: one vectorised cell-block kernel for the grids.
 
 The one pair counter behind the planar K-function family (global,
 border-corrected, cross, local and streamed K): paper §2.3's
 range-query-based method with multi-threshold batching.
+
+:class:`CellLayout` is the kernel.  Over points sorted by cell id it
+takes a whole query array at once: each query's clamped cell block at
+:func:`~repro.geometry.distance.search_reach` of the radius becomes one
+run per lattice column, found by ``searchsorted`` on the sorted cell ids
+(no dense ``nx * ny`` array, so a lattice may have 2**20 cells per
+axis); the runs expand into candidate positions, and every candidate
+pair is tested with :func:`~repro.geometry.distance.within`.  Work goes
+in chunks of a fixed :data:`_PAIR_BUDGET` candidate pairs, so memory
+stays bounded however many queries or candidates there are.
+:class:`~repro.index.GridIndex` and :class:`~repro.index.DynamicGridIndex`
+both answer through it.
+
+:func:`threshold_counts` bins each kept squared distance against the
+sorted squared thresholds and turns the per-query histograms into
+counts with one ``cumsum``: the ``within`` test at all ``D`` thresholds
+for the price of one pass over the pairs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterator
+
 import numpy as np
 
-from .._validation import as_points
+from .._validation import as_points, check_non_negative
 from ..errors import ParameterError
+from ..geometry.distance import search_reach, squared_norm, within
 
-__all__ = ["threshold_counts"]
+__all__ = ["CellLayout", "lattice_axis", "threshold_counts"]
+
+#: Candidate pairs per kernel chunk.  A constant, never derived from the
+#: input: chunking changes no result, only the size of the temporaries.
+_PAIR_BUDGET = 1 << 16
+
+
+def lattice_axis(v, origin: float, width: float, n: int) -> np.ndarray:
+    """Lattice column (or row) of each coordinate, clamped to ``[0, n)``."""
+    raw = np.floor((np.asarray(v, dtype=np.float64) - origin) / width)
+    return np.clip(raw, 0, n - 1).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class CellLayout:
+    """Points sorted by cell id on a clamped ``nx`` x ``ny`` lattice.
+
+    ``cells`` is sorted and ``xs``/``ys`` hold the coordinates in the same
+    order.  Cell ``ix * ny + iy`` spans ``cell_w`` x ``cell_h`` from
+    ``(x0, y0)``; coordinates outside the lattice clamp into its boundary
+    cells, which the exact distance test then filters.
+    """
+
+    cells: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    x0: float
+    y0: float
+    cell_w: float
+    cell_h: float
+    nx: int
+    ny: int
+
+    def pairs(self, queries: np.ndarray, radius: float
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(query_index, d2)`` of every pair within ``radius >= 0``.
+
+        ``d2`` is ``squared_norm(px - qx, py - qy)``, kept where
+        :func:`~repro.geometry.distance.within` holds.  Query indices are
+        non-decreasing within and across chunks.
+        """
+        radius = check_non_negative(radius, "radius")
+        m = queries.shape[0]
+        if m == 0 or self.cells.shape[0] == 0:
+            return
+        qx = queries[:, 0]
+        qy = queries[:, 1]
+        reach = search_reach(radius)
+        ix_lo = lattice_axis(qx - reach, self.x0, self.cell_w, self.nx)
+        ix_hi = lattice_axis(qx + reach, self.x0, self.cell_w, self.nx)
+        iy_lo = lattice_axis(qy - reach, self.y0, self.cell_h, self.ny)
+        iy_hi = lattice_axis(qy + reach, self.y0, self.cell_h, self.ny)
+        # One run of sorted positions per (query, block column).
+        ncol = ix_hi - ix_lo + 1
+        run_q = np.repeat(np.arange(m), ncol)
+        col = np.arange(run_q.shape[0]) - np.repeat(np.cumsum(ncol) - ncol, ncol)
+        base = (ix_lo[run_q] + col) * self.ny
+        start = np.searchsorted(self.cells, base + iy_lo[run_q], side="left")
+        stop = np.searchsorted(self.cells, base + iy_hi[run_q], side="right")
+        ends = np.cumsum(stop - start)
+        begins = ends - (stop - start)
+        shift = start - begins  # candidate k of run r sits at k + shift[r]
+        total = int(ends[-1])
+        for c0 in range(0, total, _PAIR_BUDGET):
+            c1 = min(c0 + _PAIR_BUDGET, total)
+            r0 = int(np.searchsorted(ends, c0, side="right"))
+            r1 = int(np.searchsorted(ends, c1 - 1, side="right")) + 1
+            seg = np.minimum(ends[r0:r1], c1) - np.maximum(begins[r0:r1], c0)
+            pos = np.arange(c0, c1) + np.repeat(shift[r0:r1], seg)
+            qi = np.repeat(run_q[r0:r1], seg)
+            d2 = squared_norm(self.xs[pos] - qx[qi], self.ys[pos] - qy[qi])
+            keep = within(d2, radius)
+            yield qi[keep], d2[keep]
 
 
 def threshold_counts(index, queries, thresholds) -> np.ndarray:
     """``(nq, D)`` int64 counts of indexed points within each threshold.
 
-    One ``index.neighbor_d2`` walk per query at the largest threshold,
-    then ``searchsorted`` of the squared thresholds over the sorted squared
-    distances: the :func:`~repro.geometry.distance.within` test at all
-    ``D`` thresholds for the price of one range query.  ``index`` is any
-    :class:`GridIndex`, :class:`KDTree` or :class:`DynamicGridIndex`; a
-    zero threshold counts coincident points only.
+    ``index`` is any :class:`GridIndex`, :class:`DynamicGridIndex` or
+    :class:`KDTree`; its ``neighbor_pairs`` yields the pairs within the
+    largest threshold.  Each squared distance lands in the bin of the
+    first sorted squared threshold it does not exceed, and a per-query
+    ``cumsum`` of the bins gives ``#{d2 <= t * t}`` at every threshold,
+    in the order given.  A zero threshold counts coincident points only;
+    a negative one admits nothing.
     """
     q = as_points(queries, name="queries", allow_empty=True)
     ts = np.asarray(thresholds, dtype=np.float64).ravel()
@@ -31,8 +125,19 @@ def threshold_counts(index, queries, thresholds) -> np.ndarray:
         raise ParameterError("thresholds must contain at least one value")
     rmax = max(float(ts.max()), 0.0)
     t2 = np.copysign(ts * ts, ts)  # a negative threshold admits nothing
+    order = np.argsort(t2, kind="stable")
+    t2_sorted = t2[order]
+    width = ts.size + 1  # the last bin holds pairs beyond every threshold
+    bins = np.zeros((q.shape[0], width), dtype=np.int64)
+    for qi, d2 in index.neighbor_pairs(q, rmax):
+        if qi.size == 0:
+            continue
+        lo = int(qi[0])
+        hi = int(qi[-1]) + 1
+        b = np.searchsorted(t2_sorted, d2, side="left")
+        bins[lo:hi] += np.bincount(
+            (qi - lo) * width + b, minlength=(hi - lo) * width
+        ).reshape(hi - lo, width)
     out = np.empty((q.shape[0], ts.size), dtype=np.int64)
-    for i, row in enumerate(q):
-        d2 = np.sort(index.neighbor_d2(row, rmax))
-        out[i] = np.searchsorted(d2, t2, side="right")
+    out[:, order] = np.cumsum(bins[:, :-1], axis=1)
     return out

@@ -3,26 +3,29 @@
 :class:`~repro.index.GridIndex` is a static CSR snapshot — ideal for
 one-shot range batches, useless for a sliding window where points enter
 and expire every refresh.  :class:`DynamicGridIndex` keeps the same cell
-hashing (square cells, exact distance filter) but stores cell membership
-in per-cell slot lists over growable coordinate arrays, so insertion and
-removal are O(cell occupancy) and the streaming K-function can charge
-only the entering/leaving points per refresh instead of rebuilding.
+hashing (square cells, exact distance filter) over growable slot arrays
+that record each live slot's coordinates and cell id: insertion and
+removal are O(1) per point, so the streaming K-function can charge only
+the entering/leaving points per refresh instead of rebuilding.
 
-Distance semantics match ``GridIndex`` bit for bit: candidates are
-gathered from the overlapping cell block, squared distances are computed
-as ``(x - cx)**2 + (y - cy)**2`` and filtered with ``d2 <= r*r``, so a
-query against a dynamic index holding exactly the points of a static one
-returns the same distances in either structure.
+Queries go through the batched cell-block kernel,
+:class:`~repro.index.counts.CellLayout`, over the live slots sorted by
+cell id (one ``argsort``, cached until the next insert or remove).  Its
+squared distances are ``(x - cx)**2 + (y - cy)**2`` filtered with
+``d2 <= r*r``, as in ``GridIndex``, so a query against a dynamic index
+holding exactly the points of a static one returns the same distances in
+either structure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_non_negative, check_positive
+from .._validation import as_points, check_positive
 from ..errors import ParameterError
 from ..geometry import BoundingBox
-from ..geometry.distance import search_reach, squared_norm, within
+from ..geometry.distance import search_reach
+from .counts import CellLayout, lattice_axis
 
 __all__ = ["DynamicGridIndex"]
 
@@ -67,106 +70,109 @@ class DynamicGridIndex:
         self.cell_h = max(bbox.height / self.ny, side)
         self._xs = np.empty(_MIN_CAPACITY, dtype=np.float64)
         self._ys = np.empty(_MIN_CAPACITY, dtype=np.float64)
-        self._cell_of_slot = np.full(_MIN_CAPACITY, -1, dtype=np.int64)
-        self._cells: dict[int, list[int]] = {}
+        self._cell_of_slot = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._free: list[int] = []
         self._top = 0
         self._n = 0
+        self._layout: CellLayout | None = None
 
     def __len__(self) -> int:
         return self._n
 
     # -- internals -----------------------------------------------------------
 
-    def _cell_index(self, x: float, y: float) -> int:
-        ix = int(np.floor((x - self.bbox.xmin) / self.cell_w))
-        iy = int(np.floor((y - self.bbox.ymin) / self.cell_h))
-        ix = min(max(ix, 0), self.nx - 1)
-        iy = min(max(iy, 0), self.ny - 1)
-        return ix * self.ny + iy
-
-    def _grow(self) -> None:
-        cap = max(_MIN_CAPACITY, 2 * self._xs.shape[0])
+    def _reserve(self, size: int) -> None:
+        cap = self._xs.shape[0]
+        if size <= cap:
+            return
+        while cap < size:
+            cap *= 2
+        # Slots at or past ``_top`` are never read, so the tail stays blank.
         for name in ("_xs", "_ys", "_cell_of_slot"):
             old = getattr(self, name)
-            fresh = np.full(cap, -1, dtype=old.dtype) \
-                if name == "_cell_of_slot" else np.empty(cap, dtype=old.dtype)
+            fresh = np.empty(cap, dtype=old.dtype)
             fresh[: old.shape[0]] = old
             setattr(self, name, fresh)
 
+    def _cells_layout(self) -> CellLayout:
+        """The live slots sorted by cell id (cached until the next update).
+
+        Concurrent readers may each build it once: the layouts are equal,
+        and one is stored only when complete.
+        """
+        if self._layout is None:
+            cells = self._cell_of_slot[: self._top]
+            live = np.flatnonzero(cells >= 0)
+            slots = live[np.argsort(cells[live], kind="stable")]
+            self._layout = CellLayout(
+                cells[slots], self._xs[slots], self._ys[slots],
+                self.bbox.xmin, self.bbox.ymin, self.cell_w, self.cell_h,
+                self.nx, self.ny,
+            )
+        return self._layout
+
     # -- updates -------------------------------------------------------------
+
+    def insert_many(self, points) -> np.ndarray:
+        """Add ``(k, 2)`` points; returns their slot ids, in order.
+
+        The slots are the ones ``k`` :meth:`insert` calls would return:
+        freed slots first (most recently freed first), then fresh ones.
+        Nothing is inserted if any point is non-finite.
+        """
+        pts = as_points(points, allow_empty=True)
+        k = pts.shape[0]
+        reused = self._free[-k:][::-1] if k else []
+        del self._free[len(self._free) - len(reused):]
+        fresh = np.arange(self._top, self._top + k - len(reused))
+        self._reserve(self._top + fresh.shape[0])
+        self._top += fresh.shape[0]
+        slots = np.concatenate([np.asarray(reused, dtype=np.int64), fresh])
+        self._xs[slots] = pts[:, 0]
+        self._ys[slots] = pts[:, 1]
+        self._cell_of_slot[slots] = (
+            lattice_axis(pts[:, 0], self.bbox.xmin, self.cell_w, self.nx) * self.ny
+            + lattice_axis(pts[:, 1], self.bbox.ymin, self.cell_h, self.ny)
+        )
+        self._n += k
+        self._layout = None
+        return slots
 
     def insert(self, x: float, y: float) -> int:
         """Add one point; returns its slot id (stable until removed)."""
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._top
-            if slot >= self._xs.shape[0]:
-                self._grow()
-            self._top += 1
-        x = float(x)
-        y = float(y)
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise ParameterError(f"point must be finite, got ({x}, {y})")
-        cell = self._cell_index(x, y)
-        self._xs[slot] = x
-        self._ys[slot] = y
-        self._cell_of_slot[slot] = cell
-        self._cells.setdefault(cell, []).append(slot)
-        self._n += 1
-        return slot
+        return int(self.insert_many([[x, y]])[0])
 
     def remove(self, slot: int) -> None:
         """Remove the point occupying ``slot`` (as returned by insert)."""
         slot = int(slot)
         if not (0 <= slot < self._top) or self._cell_of_slot[slot] < 0:
             raise ParameterError(f"slot {slot} does not hold a live point")
-        cell = int(self._cell_of_slot[slot])
-        members = self._cells[cell]
-        members.remove(slot)
-        if not members:
-            del self._cells[cell]
         self._cell_of_slot[slot] = -1
         self._free.append(slot)
         self._n -= 1
+        self._layout = None
 
     # -- queries -------------------------------------------------------------
 
-    def _candidate_slots(self, x: float, y: float, radius: float) -> np.ndarray:
-        reach = search_reach(radius)
-        ix_lo = int(np.floor((x - reach - self.bbox.xmin) / self.cell_w))
-        ix_hi = int(np.floor((x + reach - self.bbox.xmin) / self.cell_w))
-        iy_lo = int(np.floor((y - reach - self.bbox.ymin) / self.cell_h))
-        iy_hi = int(np.floor((y + reach - self.bbox.ymin) / self.cell_h))
-        ix_lo = min(max(ix_lo, 0), self.nx - 1)
-        ix_hi = min(max(ix_hi, 0), self.nx - 1)
-        iy_lo = min(max(iy_lo, 0), self.ny - 1)
-        iy_hi = min(max(iy_hi, 0), self.ny - 1)
-        found: list[int] = []
-        for ix in range(ix_lo, ix_hi + 1):
-            base = ix * self.ny
-            for iy in range(iy_lo, iy_hi + 1):
-                members = self._cells.get(base + iy)
-                if members:
-                    found.extend(members)
-        return np.asarray(found, dtype=np.int64)
+    def neighbor_pairs(self, queries: np.ndarray, radius: float):
+        """``(query_index, d2)`` chunks of every live pair within ``radius``.
+
+        The batched cell-block kernel (:meth:`CellLayout.pairs`) over the
+        whole ``(m, 2)`` query array; :func:`threshold_counts` reads it.
+        """
+        return self._cells_layout().pairs(queries, radius)
 
     def neighbor_d2(self, center, radius: float) -> np.ndarray:
         """Unsorted squared distances to every live point within ``radius``.
 
-        Same candidate-then-:func:`~repro.geometry.distance.within`
-        arithmetic as the static :class:`GridIndex`, so the two agree
-        bitwise on identical contents (the streamed-equals-batch K
-        contract).  ``radius`` may be 0 (coincident points only).
+        The kernel on a batch of one, with the same arithmetic as the
+        static :class:`GridIndex`, so the two agree bitwise on identical
+        contents (the streamed-equals-batch K contract).  ``radius`` may
+        be 0 (coincident points only).
         """
-        radius = check_non_negative(radius, "radius")
-        x, y = float(center[0]), float(center[1])
-        slots = self._candidate_slots(x, y, radius)
-        if slots.size == 0:
-            return np.empty(0, dtype=np.float64)
-        d2 = squared_norm(self._xs[slots] - x, self._ys[slots] - y)
-        return d2[within(d2, radius)]
+        query = as_points(center, name="center")
+        found = [d2 for _, d2 in self.neighbor_pairs(query, radius)]
+        return np.concatenate(found) if found else np.empty(0, dtype=np.float64)
 
     def neighbor_distances(self, center, radius: float) -> np.ndarray:
         """Unsorted distances to every live point within ``radius``."""

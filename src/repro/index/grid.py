@@ -7,7 +7,10 @@ overlapping the query disc.
 
 The implementation uses a CSR-style layout (``cell_start`` / ``order``)
 instead of per-cell Python lists, so construction and queries are fully
-vectorised.
+vectorised.  The same cell-sorted order backs a
+:class:`~repro.index.counts.CellLayout`, the batched pair kernel behind
+``neighbor_pairs`` and so behind every planar K count; single-point
+queries keep the cheaper per-query CSR slices.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .._validation import as_points, check_non_negative, check_positive
 from ..geometry import BoundingBox
 from ..geometry.distance import search_reach, squared_norm, within
+from .counts import CellLayout, lattice_axis
 
 __all__ = ["GridIndex"]
 
@@ -78,15 +82,17 @@ class GridIndex:
         counts = np.bincount(sorted_flat, minlength=self.nx * self.ny)
         self.cell_start = np.concatenate([[0], np.cumsum(counts)])
         self._sorted_points = self.points[self.order]
+        self._layout = CellLayout(
+            sorted_flat, self._sorted_points[:, 0], self._sorted_points[:, 1],
+            self.bbox.xmin, self.bbox.ymin, self.cell_w, self.cell_h,
+            self.nx, self.ny,
+        )
 
     # -- internals -----------------------------------------------------------
 
     def _cell_of(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        ix = np.floor((np.asarray(xs) - self.bbox.xmin) / self.cell_w).astype(np.int64)
-        iy = np.floor((np.asarray(ys) - self.bbox.ymin) / self.cell_h).astype(np.int64)
-        np.clip(ix, 0, self.nx - 1, out=ix)
-        np.clip(iy, 0, self.ny - 1, out=iy)
-        return ix, iy
+        return (lattice_axis(xs, self.bbox.xmin, self.cell_w, self.nx),
+                lattice_axis(ys, self.bbox.ymin, self.cell_h, self.ny))
 
     def _candidate_slices(self, x: float, y: float, radius: float) -> list[tuple[int, int]]:
         """CSR slices of every cell a point within ``radius`` can occupy."""
@@ -135,6 +141,14 @@ class GridIndex:
     def range_count(self, center, radius: float) -> int:
         """Number of points within ``radius`` of ``center``."""
         return int(self.range_indices(center, radius).shape[0])
+
+    def neighbor_pairs(self, queries: np.ndarray, radius: float):
+        """``(query_index, d2)`` chunks of every pair within ``radius >= 0``.
+
+        The batched cell-block kernel (:meth:`CellLayout.pairs`) over the
+        whole ``(m, 2)`` query array; :func:`threshold_counts` reads it.
+        """
+        return self._layout.pairs(queries, radius)
 
     def neighbor_d2(self, center, radius: float) -> np.ndarray:
         """Unsorted squared distances of every point within ``radius >= 0``."""

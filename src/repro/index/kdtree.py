@@ -291,6 +291,16 @@ class KDTree:
         block = self._sorted_points[pos]
         return squared_norm(block[:, 0] - x, block[:, 1] - y)
 
+    def neighbor_pairs(self, queries: np.ndarray, radius: float):
+        """``(query_index, d2)`` per query from this tree's own walk.
+
+        The pair source :func:`threshold_counts` reads; one
+        :meth:`neighbor_d2` per query row.
+        """
+        for i, row in enumerate(queries):
+            d2 = self.neighbor_d2(row, radius)
+            yield np.full(d2.shape[0], i), d2
+
     # -- nearest neighbours ----------------------------------------------------
 
     def knn(self, center, k: int) -> tuple[np.ndarray, np.ndarray]:

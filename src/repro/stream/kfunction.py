@@ -10,10 +10,12 @@ only the pairs that involve entering or leaving events:
 * the **entering** events are counted against the surviving window (plus
   the pairs among themselves) and inserted.
 
-Both directions cost one grid range query per changed event at the
-largest threshold — the same :func:`~repro.index.threshold_counts` as
-the batch grid backend — so a slide touching ``k`` events costs
-``O(k)`` queries instead of the batch's ``O(n)``.
+Both directions are one batched :func:`~repro.index.threshold_counts`
+over the dynamic index at the largest threshold — the cell-block pair
+kernel of the batch grid backend, fed the whole changed batch at once —
+and the pairs among the changed events are the same kernel over a
+:class:`~repro.index.GridIndex` of the batch.  A slide touching ``k``
+events costs ``O(k)`` query points instead of the batch's ``O(n)``.
 
 All maintained state is an integer pair-count vector, and the dynamic
 index reproduces the static :class:`~repro.index.GridIndex` distance
@@ -34,8 +36,7 @@ from .._validation import check_thresholds
 from ..core.kfunction import ripley_normalize
 from ..errors import ParameterError
 from ..geometry import BoundingBox
-from ..geometry.distance import squared_norm, within
-from ..index import DynamicGridIndex, threshold_counts
+from ..index import DynamicGridIndex, GridIndex, threshold_counts
 from ..obs import Diagnostics
 from ..parallel import parallel_starmap
 from .window import StreamDelta
@@ -135,17 +136,18 @@ class StreamingKFunction:
         return np.concatenate(tables).sum(axis=0)
 
     def _within_counts(self, pts: np.ndarray) -> np.ndarray:
-        """Unordered pair counts among ``pts`` (same arithmetic as batch)."""
+        """Unordered pair counts among ``pts`` (same arithmetic as batch).
+
+        The ordered total over a grid of ``pts`` holds every unordered
+        pair twice (``(a-b)**2 == (b-a)**2`` exactly) plus ``n`` self
+        pairs at distance 0.
+        """
         n = pts.shape[0]
         if n < 2:
             return np.zeros(self.thresholds.shape[0], dtype=np.int64)
-        iu = np.triu_indices(n, k=1)
-        d2 = squared_norm(pts[iu[0], 0] - pts[iu[1], 0],
-                          pts[iu[0], 1] - pts[iu[1], 1])
-        d2 = np.sort(d2[within(d2, self._rmax)])
-        return np.searchsorted(
-            d2, self.thresholds * self.thresholds, side="right"
-        ).astype(np.int64)
+        grid = GridIndex(pts, cell_size=self._rmax)
+        ordered = threshold_counts(grid, pts, self.thresholds).sum(axis=0)
+        return (ordered - n) // 2
 
     def apply(self, delta: StreamDelta) -> "StreamingKFunction":
         """Subtract the leaving events' pairs, add the entering events'."""
@@ -168,8 +170,7 @@ class StreamingKFunction:
             self._counts += 2 * (
                 self._cross_counts(entered) + self._within_counts(entered)
             )
-            for x, y in entered:
-                self._slots.append(self._index.insert(x, y))
+            self._slots.extend(self._index.insert_many(entered).tolist())
         n_applied = delta.n_entered + delta.n_left
         self.events_applied += n_applied
         self.staleness += n_applied

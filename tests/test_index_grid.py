@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.geometry import BoundingBox
-from repro.index import DynamicGridIndex, GridIndex, KDTree, threshold_counts
+from repro.index import DynamicGridIndex, GridIndex, KDTree, counts, threshold_counts
 
 
 def brute_indices(points, center, radius):
@@ -153,3 +155,140 @@ class TestDynamicGridTinyCells:
                     np.sort(index.neighbor_d2(center, radius)),
                     np.sort(static.neighbor_d2(center, radius)),
                 )
+
+
+class TestDynamicGridUpdates:
+    BBOX = BoundingBox(0.0, 0.0, 10.0, 10.0)
+
+    def test_rejected_insert_leaks_no_slot(self):
+        index = DynamicGridIndex(self.BBOX, 1.0)
+        first = index.insert(1.0, 1.0)
+        with pytest.raises(ValueError):
+            index.insert(np.nan, 2.0)
+        with pytest.raises(ValueError):
+            index.insert_many([[3.0, 3.0], [np.inf, 0.0]])
+        assert len(index) == 1
+        assert index.insert(2.0, 2.0) == first + 1
+        index.remove(first)
+        with pytest.raises(ValueError):
+            index.insert(0.0, -np.inf)
+        assert len(index) == 1
+        assert index.insert(4.0, 4.0) == first  # the freed slot, not leaked
+
+    def test_insert_many_returns_the_one_by_one_slots(self, random_points):
+        pts = random_points[:40]
+        one, many = (DynamicGridIndex(self.BBOX, 1.0) for _ in range(2))
+        for index in (one, many):
+            # Leave a free list with a known order: slots 5, 17, 3, 30.
+            for x, y in pts[:32]:
+                index.insert(x, y)
+            for slot in (5, 17, 3, 30):
+                index.remove(slot)
+        singles = [one.insert(x, y) for x, y in pts[32:]]
+        batch = many.insert_many(pts[32:])
+        assert batch.tolist() == singles == [30, 3, 17, 5, 32, 33, 34, 35]
+        for center in pts[:8]:
+            np.testing.assert_array_equal(
+                np.sort(many.neighbor_d2(center, 2.0)),
+                np.sort(one.neighbor_d2(center, 2.0)),
+            )
+
+    def test_removed_points_leave_the_queries(self):
+        index = DynamicGridIndex(self.BBOX, 1.0)
+        slots = index.insert_many([[1.0, 1.0], [1.0, 1.0], [1.5, 1.0]])
+        assert np.sort(index.neighbor_d2((1.0, 1.0), 1.0)).tolist() == [0.0, 0.0, 0.25]
+        index.remove(slots[0])
+        assert np.sort(index.neighbor_d2((1.0, 1.0), 1.0)).tolist() == [0.0, 0.25]
+        with pytest.raises(ParameterError):
+            index.remove(slots[0])
+        with pytest.raises(ValueError):
+            index.neighbor_d2((np.nan, 1.0), 1.0)
+        assert index.insert_many(np.empty((0, 2))).tolist() == []
+        assert len(index) == 2
+
+
+def brute_table(points, queries, thresholds):
+    """``#{d2 <= t * t}`` from direct coordinate differences; ``t < 0`` admits nothing."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+    ts = np.asarray(thresholds, dtype=np.float64)
+    dx = p[None, :, 0] - q[:, None, 0]
+    dy = p[None, :, 1] - q[:, None, 1]
+    d2 = dx * dx + dy * dy
+    admit = (d2[:, :, None] <= (ts * ts)[None, None, :]) & (ts >= 0.0)
+    return admit.sum(axis=1).astype(np.int64)
+
+
+_coords = st.one_of(
+    st.sampled_from([-3.0, 0.0, 1e-170, 1e-160, 0.5, 1.0, 2.5, 10.0, 12.0]),
+    st.floats(-2.0, 12.0, allow_nan=False),
+)
+_point = st.tuples(_coords, _coords)
+_threshold = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-160, 0.5, 1.0, 2.5, 30.0]),
+    st.floats(0.0, 4.0, allow_nan=False),
+)
+
+
+class TestThresholdCountsProperty:
+    """Every index's counts equal a brute-force table, at any chunk size."""
+
+    BBOX = BoundingBox(0.0, 0.0, 10.0, 10.0)  # points at -3 and 12 lie outside
+
+    @staticmethod
+    def _tables(index, queries, ts, monkeypatch):
+        tables = []
+        for budget in (1, 7, 4096, 1 << 16):
+            monkeypatch.setattr(counts, "_PAIR_BUDGET", budget)
+            tables.append(threshold_counts(index, queries, ts))
+        return tables
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(_point, min_size=1, max_size=40),
+        queries=st.lists(_point, min_size=0, max_size=12),
+        ts=st.lists(_threshold, min_size=1, max_size=6),
+        cell=st.sampled_from([1e-160, 0.7, 3.0]),
+    )
+    @example(points=[(0.0, 0.0), (0.0, 0.0), (1e-170, 0.0), (0.0, 2e-160)],
+             queries=[(0.0, 0.0), (1e-170, 0.0)], ts=[1e-160, 0.0, 1e-160],
+             cell=1e-160)
+    @example(points=[(1.0, 1.0)] * 5 + [(12.0, -3.0)],
+             queries=[(1.0, 1.0), (-3.0, 12.0)], ts=[2.5, -1.0, 0.0, 30.0],
+             cell=0.7)
+    def test_matches_brute_force(self, points, queries, ts, cell):
+        want = brute_table(points, queries, ts)
+        pts = np.array(points)
+        q = np.array(queries, dtype=np.float64).reshape(-1, 2)
+        # Cells no smaller than the largest threshold keep each query's
+        # block small on the dynamic grid's 2**20-per-axis lattice.
+        dyn = DynamicGridIndex(self.BBOX, max(cell, max(ts)))
+        dyn.insert_many(pts)
+        indexes = (GridIndex(pts, cell, bbox=self.BBOX), KDTree(pts), dyn)
+        with pytest.MonkeyPatch.context() as mp:
+            for index in indexes:
+                for table in self._tables(index, q, ts, mp):
+                    assert table.dtype == np.int64
+                    np.testing.assert_array_equal(table, want)
+
+    def test_empty_index_and_empty_queries(self, random_points):
+        ts = [0.0, 1.0, -1.0]
+        empty = DynamicGridIndex(self.BBOX, 1.0)
+        table = threshold_counts(empty, random_points[:5], ts)
+        np.testing.assert_array_equal(table, np.zeros((5, 3), dtype=np.int64))
+        slots = empty.insert_many(random_points[:3])
+        for slot in slots:
+            empty.remove(slot)
+        assert threshold_counts(empty, random_points[:5], ts).sum() == 0
+        for index in (GridIndex(random_points, 1.0), KDTree(random_points), empty):
+            table = threshold_counts(index, np.empty((0, 2)), ts)
+            assert table.shape == (0, 3) and table.dtype == np.int64
+
+    def test_chunks_split_mid_query_and_mid_column(self, monkeypatch):
+        # One cell column holds all 50 points: budgets of 1 and 7 cut it.
+        pts = np.column_stack([np.full(50, 0.5), np.linspace(0.0, 9.0, 50)])
+        index = GridIndex(pts, 1.0, bbox=self.BBOX)
+        ts = [0.0, 0.25, 3.0, 9.0]
+        want = brute_table(pts, pts[::7], ts)
+        for table in self._tables(index, pts[::7], ts, monkeypatch):
+            np.testing.assert_array_equal(table, want)

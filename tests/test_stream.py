@@ -10,6 +10,8 @@ The streaming engine's contract is threefold:
   pixels actually changed, verified against a full-surface diff.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ import repro
 from repro.core.autocorrelation import local_gi_star
 from repro.core.kdv import MultiSurfaceAccumulator, kde_grid
 from repro.core.kfunction import ripley_k
-from repro.data import hawkes_stream
+from repro.data import chicago_crime, hawkes_stream
 from repro.errors import DataError, ParameterError
 from repro.stream import (
     DirtyTileLedger,
@@ -317,6 +319,30 @@ class TestStreamingKFunctionEqualsBatch:
         kf = StreamingKFunction(BBOX, [1.0])
         with pytest.raises(ParameterError):
             kf.snapshot()  # fewer than two points
+
+
+class TestStreamingKFunctionMemory:
+    """A push's K update is sized by the pair budget, not the batch squared."""
+
+    def test_one_push_on_a_20k_window_peaks_under_8_mib(self):
+        data = chicago_crime(21_000, seed=3)
+        times = np.arange(21_000, dtype=np.float64)
+        window = StreamWindow(capacity=20_000)
+        kf = StreamingKFunction(data.bbox, (0.1, 0.2, 0.3, 0.5))
+        for c0 in range(0, 20_000, 1_000):
+            kf.apply(window.push(data.points[c0:c0 + 1_000],
+                                 times[c0:c0 + 1_000]))
+        delta = window.push(data.points[20_000:], times[20_000:])
+        assert delta.n_entered == delta.n_left == 1_000
+        tracemalloc.start()
+        try:
+            kf.apply(delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        np.testing.assert_array_equal(
+            kf.counts, repro.k_function(window.points, [0.1, 0.2, 0.3, 0.5]))
 
 
 class TestDeterminism:
