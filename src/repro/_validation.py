@@ -7,6 +7,7 @@ assume clean ``float64`` arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "as_values",
     "as_timestamps",
     "as_weights",
+    "as_center",
     "check_positive",
     "check_non_negative",
     "check_in_range",
@@ -81,6 +83,17 @@ def as_weights(weights, n: int, name: str = "weights") -> np.ndarray:
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
         raise ParameterError(f"{name} must be finite and non-negative")
     return arr
+
+
+def as_center(center, name: str = "center") -> tuple[float, float]:
+    """One query point as finite floats ``(x, y)`` (scalar work only)."""
+    try:
+        x, y = float(center[0]), float(center[1])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"{name} must be a pair of coordinates: {exc}") from exc
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DataError(f"{name} contains non-finite coordinates")
+    return x, y
 
 
 def check_positive(value: float, name: str) -> float:

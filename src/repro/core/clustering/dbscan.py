@@ -43,10 +43,12 @@ def dbscan(points, eps: float, min_pts: int = 5) -> np.ndarray:
         raise ParameterError(f"min_pts must be >= 1, got {min_pts}")
 
     n = pts.shape[0]
-    index = GridIndex(pts, cell_size=eps)
+    index = GridIndex.for_radius(pts, eps)
 
     # Pre-compute neighbourhoods once: DBSCAN visits each at most twice.
-    neighborhoods = [index.range_indices(pts[i], eps) for i in range(n)]
+    neighborhoods: list[np.ndarray] = []
+    for _, bounds, ids, _ in index.neighbor_blocks(pts, eps):
+        neighborhoods.extend(np.split(ids, bounds[1:-1]))
     core = np.array([nbr.shape[0] >= min_pts for nbr in neighborhoods])
 
     labels = np.full(n, -1, dtype=np.int64)

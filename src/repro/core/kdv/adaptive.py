@@ -63,15 +63,15 @@ def adaptive_bandwidths(
     # Pilot density at the data points (leave-self-in is fine for a pilot).
     kernel = problem.kernel
     pts = problem.points
-    n = pts.shape[0]
     radius = effective_radius(kernel, pilot_b)
     from ...index import GridIndex
 
-    index = GridIndex(pts, cell_size=max(radius, 1e-12))
-    pilot = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        d = index.neighbor_distances(pts[i], radius)
-        pilot[i] = float(kernel.evaluate(d, pilot_b).sum())
+    index = GridIndex.for_radius(pts, radius)
+    pilot = np.empty(pts.shape[0], dtype=np.float64)
+    for start, bounds, _, d2 in index.neighbor_blocks(pts, radius):
+        k = kernel.evaluate(np.sqrt(d2), pilot_b)
+        for i, (s0, s1) in enumerate(zip(bounds[:-1], bounds[1:]), start):
+            pilot[i] = float(k[s0:s1].sum())
     pilot = np.maximum(pilot, 1e-300)
 
     log_g = float(np.mean(np.log(pilot)))

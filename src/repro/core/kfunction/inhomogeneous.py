@@ -22,7 +22,6 @@ import numpy as np
 from ..._validation import as_points, check_positive, check_thresholds
 from ...errors import DataError, ParameterError
 from ...geometry import BoundingBox
-from ...geometry.distance import squared_norm
 from ...index import GridIndex
 from ..kernels import get_kernel
 
@@ -47,16 +46,15 @@ def intensity_at_points(
     radius = kern.support_radius(bandwidth)
     if not np.isfinite(radius):
         radius = kern.effective_radius(bandwidth)
-    index = GridIndex(pts, cell_size=max(radius, 1e-12), bbox=bbox)
+    index = GridIndex.for_radius(pts, radius, bbox=bbox)
     norm = kern.integral(bandwidth)
-    n = pts.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        d = index.neighbor_distances(pts[i], radius)
-        total = float(kern.evaluate(d, bandwidth).sum())
-        # Remove the self term (distance zero).
-        total -= float(kern.evaluate(0.0, bandwidth))
-        out[i] = max(total, 0.0) / norm
+    self_term = float(kern.evaluate(0.0, bandwidth))  # distance zero
+    out = np.empty(pts.shape[0], dtype=np.float64)
+    for start, bounds, _, d2 in index.neighbor_blocks(pts, radius):
+        k = kern.evaluate(np.sqrt(d2), bandwidth)
+        for i, (s0, s1) in enumerate(zip(bounds[:-1], bounds[1:]), start):
+            total = float(k[s0:s1].sum()) - self_term
+            out[i] = max(total, 0.0) / norm
     return out
 
 
@@ -116,17 +114,17 @@ def inhomogeneous_k(
     inv = 1.0 / lam
 
     rmax = float(ts.max())
-    index = GridIndex(pts, cell_size=max(rmax, 1e-12))
+    index = GridIndex.for_radius(pts, rmax)
     out = np.zeros(ts.shape[0], dtype=np.float64)
-    for i in range(n):
-        idx = index.range_indices(pts[i], max(rmax, 1e-300))
-        idx = idx[idx != i]
-        if idx.size == 0:
-            continue
-        d2 = squared_norm(pts[idx, 0] - pts[i, 0], pts[idx, 1] - pts[i, 1])
-        w = inv[i] * inv[idx]
-        order = np.argsort(d2)
-        w_cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        pos = np.searchsorted(d2[order], ts * ts, side="right")
-        out += w_cum[pos]
+    for start, bounds, ids, d2 in index.neighbor_blocks(pts, rmax):
+        for i, (s0, s1) in enumerate(zip(bounds[:-1], bounds[1:]), start):
+            other = ids[s0:s1] != i
+            idx, d2_i = ids[s0:s1][other], d2[s0:s1][other]
+            if idx.size == 0:
+                continue
+            w = inv[i] * inv[idx]
+            order = np.argsort(d2_i)
+            w_cum = np.concatenate([[0.0], np.cumsum(w[order])])
+            pos = np.searchsorted(d2_i[order], ts * ts, side="right")
+            out += w_cum[pos]
     return out / bbox.area

@@ -27,8 +27,7 @@ import numpy as np
 from ..._validation import as_points, check_thresholds
 from ...errors import ParameterError
 from ...geometry import BoundingBox
-from ...index import threshold_counts
-from .planar import _threshold_grid
+from ...index import GridIndex, threshold_counts
 
 __all__ = ["LocalKResult", "local_k_function"]
 
@@ -64,7 +63,8 @@ def local_k_function(
     if not isinstance(bbox, BoundingBox):
         raise ParameterError("bbox must be a BoundingBox")
 
-    counts = threshold_counts(_threshold_grid(pts, ts), pts, ts) - 1  # drop self
+    grid = GridIndex.for_radius(pts, ts[-1])
+    counts = threshold_counts(grid, pts, ts) - 1  # drop self
 
     # Binomial CSR null per threshold.
     p = np.clip(np.pi * ts * ts / bbox.area, 0.0, 1.0)

@@ -23,7 +23,7 @@ import numpy as np
 from ..._validation import as_points, check_positive, check_thresholds
 from ...errors import ParameterError
 from ...geometry import BoundingBox
-from ...index import GridIndex
+from ...index import QUERY_BLOCK, GridIndex
 
 __all__ = ["pair_correlation"]
 
@@ -68,13 +68,13 @@ def pair_correlation(
 
     # Collect pair distances out to r_max + h via the grid index.
     reach = float(rs.max()) + smoothing
-    index = GridIndex(pts, cell_size=reach)
+    index = GridIndex.for_radius(pts, reach)
     all_d: list[np.ndarray] = []
-    for i in range(n):
-        d = index.neighbor_distances(pts[i], reach)
-        d = d[d > 0.0]  # drop the self-distance
-        if d.size:
-            all_d.append(d)
+    for start in range(0, n, QUERY_BLOCK):
+        for _, d2 in index.neighbor_pairs(pts[start:start + QUERY_BLOCK], reach):
+            d2 = d2[d2 > 0.0]  # drop the self-distance
+            if d2.size:
+                all_d.append(np.sqrt(d2))
     if not all_d:
         return np.zeros(rs.shape[0], dtype=np.float64)
     dists = np.sort(np.concatenate(all_d))

@@ -13,7 +13,8 @@ Two backends mirror the paper's §2.3 taxonomy:
 
 Every grid count in the planar family (global, border-corrected, cross
 and local K) is :func:`repro.index.threshold_counts` over the grid that
-``_threshold_grid`` builds; its one cell-size floor means a zero threshold
+:meth:`GridIndex.for_radius <repro.index.GridIndex.for_radius>` builds at
+the largest threshold; its one cell-size floor means a zero threshold
 needs no special case anywhere.
 
 By default self-pairs are excluded (the spatstat convention).  The paper's
@@ -43,23 +44,12 @@ __all__ = [
 
 K_METHODS = ("auto", "naive", "grid")
 
-#: Floor of the threshold grid's cell side.  A zero largest threshold
-#: (coincident points only) still gets a valid grid: the lattice cap keeps
-#: the cells as wide as ``GridIndex`` allows, and the pair kernel accepts
-#: radius 0.
-_MIN_CELL = float(np.finfo(float).tiny)
-
 
 def _check_k_method(method: str) -> None:
     if method not in K_METHODS:
         raise ParameterError(
             f"unknown K-function method {method!r}; available: {', '.join(K_METHODS)}"
         )
-
-
-def _threshold_grid(points: np.ndarray, ts: np.ndarray) -> GridIndex:
-    """The grid every planar pair count walks: cells of the largest threshold."""
-    return GridIndex(points, cell_size=max(float(ts[-1]), _MIN_CELL))
 
 
 def _k_naive(
@@ -145,7 +135,8 @@ def k_function(
     if method == "naive":
         counts = _k_naive(pts, ts, bbox, torus, int(chunk))
     else:
-        counts = threshold_counts(_threshold_grid(pts, ts), pts, ts).sum(axis=0)
+        grid = GridIndex.for_radius(pts, ts[-1])
+        counts = threshold_counts(grid, pts, ts).sum(axis=0)
 
     # Ordered pairs (self-pairs included) admitted at the largest threshold.
     if ts.shape[0]:
@@ -210,7 +201,8 @@ def border_ripley_k(points, thresholds, bbox: BoundingBox) -> np.ndarray:
     n = pts.shape[0]
     if n < 2:
         raise ParameterError("border_ripley_k needs at least two points")
-    table = threshold_counts(_threshold_grid(pts, ts), pts, ts) - 1  # drop self
+    grid = GridIndex.for_radius(pts, ts[-1])
+    table = threshold_counts(grid, pts, ts) - 1  # drop self
 
     boundary_dist = np.minimum.reduce(
         [

@@ -9,7 +9,8 @@ The multi-threshold grid is computed by **joint histogramming**: each
 pair's ``(distance, |dt|)`` lands in a 2-D bin, and a double cumulative sum
 turns the histogram into threshold counts — every (s, t) cell for the
 price of one pass over the pairs.  The ``grid`` backend restricts the pair
-enumeration to spatial candidates within ``s_max`` via the grid index.
+enumeration to spatial candidates within ``s_max`` via the grid index's
+batched kernel, one block of queries at a time (``s_max = 0`` included).
 Both backends fan their row/point blocks out over the shared executor
 (``workers``/``backend``, see :mod:`repro.parallel`); the reduction is an
 integer sum over fixed-size blocks, so the counts are bit-identical for
@@ -27,7 +28,7 @@ from ..._validation import as_points, as_timestamps, check_thresholds
 from ...errors import ParameterError
 from ...geometry import BoundingBox
 from ...geometry.distance import squared_norm
-from ...index import GridIndex
+from ...index import QUERY_BLOCK, GridIndex
 from ...parallel import parallel_map, spawn_rngs
 from .result import STKResult
 
@@ -40,11 +41,6 @@ __all__ = [
 ]
 
 ST_K_METHODS = ("auto", "naive", "grid")
-
-# Points per grid-backend block.  A fixed constant (never derived from
-# ``workers``) keeps the block partition — and hence the merged trace —
-# worker-invariant; the integer count reduction is order-invariant anyway.
-_GRID_BLOCK = 256
 
 
 def _hist_counts(
@@ -85,20 +81,16 @@ def _st_naive_block_task(task):
 
 
 def _st_grid_block_task(task):
-    """Counts from one point block of the grid-index scan (module-level)."""
+    """Counts from one query block of the grid-index scan (module-level)."""
     index, pts, ts_vals, s_ts, t_ts, smax, tmax, start, stop = task
     counts = np.zeros((s_ts.shape[0], t_ts.shape[0]), dtype=np.int64)
     pairs = 0
-    for i in range(start, stop):
-        nbr = index.range_indices(pts[i], smax)
-        if nbr.size == 0:
-            continue
-        d2vec = squared_norm(pts[nbr, 0] - pts[i, 0], pts[nbr, 1] - pts[i, 1])
-        dtvec = np.abs(ts_vals[nbr] - ts_vals[i])
-        near = dtvec <= tmax
+    for qi, ids, d2 in index.neighbors(pts[start:stop], smax):
+        dt = np.abs(ts_vals[ids] - ts_vals[start + qi])
+        near = dt <= tmax
         if obs.is_active():
             pairs += int(near.sum())
-        counts += _hist_counts(d2vec[near], dtvec[near], s_ts, t_ts)
+        counts += _hist_counts(d2[near], dt[near], s_ts, t_ts)
     if pairs:
         obs.count("stk.pairs_binned", pairs)
     return counts
@@ -131,16 +123,14 @@ def _st_counts(
     else:  # "grid" — validated by the caller
         smax = float(s_ts.max())
         tmax = float(t_ts.max())
-        if smax <= 0.0:
-            # Only coincident points count; the naive scan is cheap there.
-            return _st_counts(
-                pts, ts_vals, s_ts, t_ts, "naive", chunk, workers, backend
-            )
-        index = GridIndex(pts, cell_size=smax)
+        index = GridIndex.for_radius(pts, smax)
+        # Fixed query blocks (never derived from ``workers``) keep the
+        # partition, and hence the merged trace, worker-invariant; the
+        # integer count reduction is order-invariant anyway.
         tasks = [
             (index, pts, ts_vals, s_ts, t_ts, smax, tmax, start,
-             min(start + _GRID_BLOCK, n))
-            for start in range(0, n, _GRID_BLOCK)
+             min(start + QUERY_BLOCK, n))
+            for start in range(0, n, QUERY_BLOCK)
         ]
         with obs.span("stk.counts.grid"):
             partials = parallel_map(

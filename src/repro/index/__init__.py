@@ -5,10 +5,13 @@ range-query-based methods cite kd-trees [21], ball-trees [71] and uniform
 grids as the standard carriers).  They expose a common core:
 
 * ``range_indices(center, radius)`` / ``range_count(center, radius)``
+  (a non-finite centre raises :class:`~repro.errors.DataError`)
 * ``neighbor_distances(center, radius)``, the squared
   ``neighbor_d2(center, radius)`` and the batched
   ``neighbor_pairs(queries, radius)`` (grid, kd-tree, dynamic grid; both
-  grids answer through one vectorised cell-block kernel)
+  grids answer every query, single-point ones as a batch of one, and the
+  id-yielding ``neighbors`` / ``neighbor_blocks`` through one vectorised
+  cell-block kernel)
 * the module-level ``threshold_counts(index, queries, thresholds)`` over
   any of those three — the one multi-threshold pair counter of the planar
   K-function family
@@ -21,11 +24,11 @@ naive pair counts) agree on boundary and underflow cases.
 """
 
 from .balltree import BallTree
-from .counts import threshold_counts
+from .counts import QUERY_BLOCK, threshold_counts
 from .dynamic import DynamicGridIndex
 from .grid import GridIndex
 from .kdtree import KDTree
 from .rangetree import RangeTree
 
-__all__ = ["BallTree", "DynamicGridIndex", "GridIndex", "KDTree", "RangeTree",
-           "threshold_counts"]
+__all__ = ["QUERY_BLOCK", "BallTree", "DynamicGridIndex", "GridIndex", "KDTree",
+           "RangeTree", "threshold_counts"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_points, check_positive
+from .._validation import as_center, as_points, check_positive
 from ..errors import ParameterError
 from ..geometry.distance import search_reach, squared_norm, within
 
@@ -122,7 +122,7 @@ class BallTree:
 
     def range_indices(self, center, radius: float) -> np.ndarray:
         radius = check_positive(radius, "radius")
-        x, y = float(center[0]), float(center[1])
+        x, y = as_center(center)
         # The triangle-inequality bounds round (hypot, the node radius), so
         # prune and bulk-accept only with a margin; the leaf test decides
         # every point the margins leave open.  Points within pass

@@ -1,8 +1,8 @@
 """Batched pair counts: one vectorised cell-block kernel for the grids.
 
-The one pair counter behind the planar K-function family (global,
-border-corrected, cross, local and streamed K): paper §2.3's
-range-query-based method with multi-threshold batching.
+The one grid query path, behind every K-function count, DBSCAN, the
+pair correlation function, the inhomogeneous K and the adaptive-KDV
+pilot: paper §2.3's range-query-based method with multi-threshold batching.
 
 :class:`CellLayout` is the kernel.  Over points sorted by cell id it
 takes a whole query array at once: each query's clamped cell block at
@@ -13,8 +13,10 @@ axis); the runs expand into candidate positions, and every candidate
 pair is tested with :func:`~repro.geometry.distance.within`.  Work goes
 in chunks of a fixed :data:`_PAIR_BUDGET` candidate pairs, so memory
 stays bounded however many queries or candidates there are.
+:meth:`CellLayout.pairs` (the counting path) yields no point ids;
+:meth:`CellLayout.neighbors` does.  Through :class:`CellQueries`,
 :class:`~repro.index.GridIndex` and :class:`~repro.index.DynamicGridIndex`
-both answer through it.
+answer every query with it, a single-point one as a batch of one.
 
 :func:`threshold_counts` bins each kept squared distance against the
 sorted squared thresholds and turns the per-query histograms into
@@ -29,15 +31,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .._validation import as_points, check_non_negative
+from .._validation import as_center, as_points, check_non_negative, check_positive
 from ..errors import ParameterError
 from ..geometry.distance import search_reach, squared_norm, within
 
-__all__ = ["CellLayout", "lattice_axis", "threshold_counts"]
+__all__ = ["QUERY_BLOCK", "CellLayout", "CellQueries", "lattice_axis",
+           "threshold_counts"]
 
 #: Candidate pairs per kernel chunk.  A constant, never derived from the
 #: input: chunking changes no result, only the size of the temporaries.
 _PAIR_BUDGET = 1 << 16
+
+#: Queries per neighbour-list block.  A constant for the same reason:
+#: blocking bounds the gathered lists and changes no result.
+QUERY_BLOCK = 256
 
 
 def lattice_axis(v, origin: float, width: float, n: int) -> np.ndarray:
@@ -53,10 +60,12 @@ class CellLayout:
     ``cells`` is sorted and ``xs``/``ys`` hold the coordinates in the same
     order.  Cell ``ix * ny + iy`` spans ``cell_w`` x ``cell_h`` from
     ``(x0, y0)``; coordinates outside the lattice clamp into its boundary
-    cells, which the exact distance test then filters.
+    cells, which the exact distance test then filters.  ``ids`` names the
+    point at each position (an index or a slot).
     """
 
     cells: np.ndarray
+    ids: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     x0: float
@@ -66,13 +75,12 @@ class CellLayout:
     nx: int
     ny: int
 
-    def pairs(self, queries: np.ndarray, radius: float
-              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(query_index, d2)`` of every pair within ``radius >= 0``.
+    def _chunks(self, queries: np.ndarray, radius: float):
+        """Yield ``(pos, query_index, d2, keep)`` per chunk of candidates.
 
-        ``d2`` is ``squared_norm(px - qx, py - qy)``, kept where
-        :func:`~repro.geometry.distance.within` holds.  Query indices are
-        non-decreasing within and across chunks.
+        ``d2`` is ``squared_norm(px - qx, py - qy)``, ``keep`` the
+        :func:`~repro.geometry.distance.within` mask.  Query indices never
+        decrease; a query's candidates come column by column, in order.
         """
         radius = check_non_negative(radius, "radius")
         m = queries.shape[0]
@@ -104,8 +112,88 @@ class CellLayout:
             pos = np.arange(c0, c1) + np.repeat(shift[r0:r1], seg)
             qi = np.repeat(run_q[r0:r1], seg)
             d2 = squared_norm(self.xs[pos] - qx[qi], self.ys[pos] - qy[qi])
-            keep = within(d2, radius)
+            yield pos, qi, d2, within(d2, radius)
+
+    def pairs(self, queries: np.ndarray, radius: float
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(query_index, d2)`` of every pair within ``radius >= 0``.
+
+        The counting form: no point ids are gathered.
+        """
+        for _, qi, d2, keep in self._chunks(queries, radius):
             yield qi[keep], d2[keep]
+
+    def neighbors(self, queries: np.ndarray, radius: float
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(query_index, ids, d2)`` of every pair within ``radius >= 0``."""
+        for pos, qi, d2, keep in self._chunks(queries, radius):
+            yield qi[keep], self.ids[pos[keep]], d2[keep]
+
+
+class CellQueries:
+    """Every grid query, through the ``_cells_layout()`` a subclass gives.
+
+    A single-point query is the kernel on a batch of one: the same ids
+    and squared distances, in the same order, as inside any batch.  It
+    rejects a non-finite centre; batched callers validate their queries.
+    """
+
+    def _cells_layout(self) -> CellLayout:
+        raise NotImplementedError
+
+    def neighbor_pairs(self, queries: np.ndarray, radius: float):
+        """``(query_index, d2)`` chunks of every pair within ``radius >= 0``.
+
+        :meth:`CellLayout.pairs` over the whole ``(m, 2)`` query array;
+        :func:`threshold_counts` reads it.
+        """
+        return self._cells_layout().pairs(queries, radius)
+
+    def neighbors(self, queries: np.ndarray, radius: float):
+        """``(query_index, ids, d2)`` chunks of every pair within ``radius >= 0``."""
+        return self._cells_layout().neighbors(queries, radius)
+
+    def neighbor_blocks(self, queries: np.ndarray, radius: float):
+        """Yield ``(start, bounds, ids, d2)`` per block of :data:`QUERY_BLOCK` queries.
+
+        Query ``start + k`` has the neighbours ``ids[bounds[k]:bounds[k + 1]]``
+        within ``radius >= 0``, at the squared distances in the same slice
+        of ``d2``, in cell order; ``bounds`` is a list of ints.
+        """
+        layout = self._cells_layout()
+        for start in range(0, queries.shape[0], QUERY_BLOCK):
+            block = queries[start:start + QUERY_BLOCK]
+            found = list(layout.neighbors(block, radius))
+            if found:
+                qi, ids, d2 = (np.concatenate(col) for col in zip(*found))
+            else:
+                qi = ids = np.empty(0, dtype=np.int64)
+                d2 = np.empty(0, dtype=np.float64)
+            bounds = np.searchsorted(qi, np.arange(block.shape[0] + 1))
+            yield start, bounds.tolist(), ids, d2
+
+    def _query_one(self, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        x, y = as_center(center)
+        _, _, ids, d2 = next(self.neighbor_blocks(np.array([[x, y]]), radius))
+        return ids, d2
+
+    def range_indices(self, center, radius: float) -> np.ndarray:
+        """Ids of the points within ``radius > 0`` of ``center``, in cell order."""
+        radius = check_positive(radius, "radius")
+        return self._query_one(center, radius)[0]
+
+    def range_count(self, center, radius: float) -> int:
+        """Number of points within ``radius > 0`` of ``center``."""
+        return int(self.range_indices(center, radius).shape[0])
+
+    def neighbor_d2(self, center, radius: float) -> np.ndarray:
+        """Squared distances of every point within ``radius >= 0``, in cell order."""
+        return self._query_one(center, radius)[1]
+
+    def neighbor_distances(self, center, radius: float) -> np.ndarray:
+        """Distances from ``center`` to every point within ``radius > 0``."""
+        radius = check_positive(radius, "radius")
+        return np.sqrt(self.neighbor_d2(center, radius))
 
 
 def threshold_counts(index, queries, thresholds) -> np.ndarray:

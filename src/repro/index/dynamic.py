@@ -10,11 +10,13 @@ the entering/leaving points per refresh instead of rebuilding.
 
 Queries go through the batched cell-block kernel,
 :class:`~repro.index.counts.CellLayout`, over the live slots sorted by
-cell id (one ``argsort``, cached until the next insert or remove).  Its
-squared distances are ``(x - cx)**2 + (y - cy)**2`` filtered with
-``d2 <= r*r``, as in ``GridIndex``, so a query against a dynamic index
-holding exactly the points of a static one returns the same distances in
-either structure.
+cell id (one ``argsort``, cached until the next insert or remove), with
+the same :class:`~repro.index.counts.CellQueries` as ``GridIndex``: ids
+are slots.  Its squared distances are ``(x - cx)**2 + (y - cy)**2``
+filtered with ``d2 <= r*r``, as in ``GridIndex``, so a query against a
+dynamic index holding exactly the points of a static one returns the
+same distances in either structure (the streamed-equals-batch K
+contract).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .._validation import as_points, check_positive
 from ..errors import ParameterError
 from ..geometry import BoundingBox
 from ..geometry.distance import search_reach
-from .counts import CellLayout, lattice_axis
+from .counts import CellLayout, CellQueries, lattice_axis
 
 __all__ = ["DynamicGridIndex"]
 
@@ -37,7 +39,7 @@ _MIN_CAPACITY = 64
 _MAX_AXIS_CELLS = 1 << 20
 
 
-class DynamicGridIndex:
+class DynamicGridIndex(CellQueries):
     """Uniform-grid index over a fixed window supporting insert/remove.
 
     Parameters
@@ -52,7 +54,8 @@ class DynamicGridIndex:
         inspects at most a 3x3 cell block.
 
     Points are addressed by the integer **slot** returned from
-    :meth:`insert`; removal frees the slot for reuse.
+    :meth:`insert`; removal frees the slot for reuse.  Queries that name
+    points (``range_indices``, ``neighbor_blocks``) return slots.
     """
 
     def __init__(self, bbox: BoundingBox, cell_size: float):
@@ -105,7 +108,7 @@ class DynamicGridIndex:
             live = np.flatnonzero(cells >= 0)
             slots = live[np.argsort(cells[live], kind="stable")]
             self._layout = CellLayout(
-                cells[slots], self._xs[slots], self._ys[slots],
+                cells[slots], slots, self._xs[slots], self._ys[slots],
                 self.bbox.xmin, self.bbox.ymin, self.cell_w, self.cell_h,
                 self.nx, self.ny,
             )
@@ -151,37 +154,6 @@ class DynamicGridIndex:
         self._free.append(slot)
         self._n -= 1
         self._layout = None
-
-    # -- queries -------------------------------------------------------------
-
-    def neighbor_pairs(self, queries: np.ndarray, radius: float):
-        """``(query_index, d2)`` chunks of every live pair within ``radius``.
-
-        The batched cell-block kernel (:meth:`CellLayout.pairs`) over the
-        whole ``(m, 2)`` query array; :func:`threshold_counts` reads it.
-        """
-        return self._cells_layout().pairs(queries, radius)
-
-    def neighbor_d2(self, center, radius: float) -> np.ndarray:
-        """Unsorted squared distances to every live point within ``radius``.
-
-        The kernel on a batch of one, with the same arithmetic as the
-        static :class:`GridIndex`, so the two agree bitwise on identical
-        contents (the streamed-equals-batch K contract).  ``radius`` may
-        be 0 (coincident points only).
-        """
-        query = as_points(center, name="center")
-        found = [d2 for _, d2 in self.neighbor_pairs(query, radius)]
-        return np.concatenate(found) if found else np.empty(0, dtype=np.float64)
-
-    def neighbor_distances(self, center, radius: float) -> np.ndarray:
-        """Unsorted distances to every live point within ``radius``."""
-        radius = check_positive(radius, "radius")
-        return np.sqrt(self.neighbor_d2(center, radius))
-
-    def range_count(self, center, radius: float) -> int:
-        """Number of live points within ``radius`` of ``center``."""
-        return int(self.neighbor_distances(center, radius).shape[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,7 +26,9 @@ import heapq
 
 import numpy as np
 
-from .._validation import as_points, as_weights, check_non_negative, check_positive
+from .._validation import (
+    as_center, as_points, as_weights, check_non_negative, check_positive,
+)
 from ..errors import ParameterError
 from ..geometry.distance import squared_norm, within
 
@@ -249,13 +251,13 @@ class KDTree:
     def range_indices(self, center, radius: float) -> np.ndarray:
         """Original indices of points within ``radius`` of ``center``."""
         radius = check_positive(radius, "radius")
-        pos = self._range_positions(float(center[0]), float(center[1]), radius)
-        return self.indices[pos]
+        x, y = as_center(center)
+        return self.indices[self._range_positions(x, y, radius)]
 
     def range_count(self, center, radius: float) -> int:
         """Number of points within ``radius``; whole-node hits are O(1)."""
         radius = check_positive(radius, "radius")
-        x, y = float(center[0]), float(center[1])
+        x, y = as_center(center)
         total = 0
         stack = [0]
         while stack:
@@ -284,7 +286,10 @@ class KDTree:
     def neighbor_d2(self, center, radius: float) -> np.ndarray:
         """Unsorted squared distances of every point within ``radius >= 0``."""
         radius = check_non_negative(radius, "radius")
-        x, y = float(center[0]), float(center[1])
+        x, y = as_center(center)
+        return self._d2_at(x, y, radius)
+
+    def _d2_at(self, x: float, y: float, radius: float) -> np.ndarray:
         pos = self._range_positions(x, y, radius)
         if pos.size == 0:
             return np.empty(0, dtype=np.float64)
@@ -294,11 +299,12 @@ class KDTree:
     def neighbor_pairs(self, queries: np.ndarray, radius: float):
         """``(query_index, d2)`` per query from this tree's own walk.
 
-        The pair source :func:`threshold_counts` reads; one
-        :meth:`neighbor_d2` per query row.
+        The pair source :func:`threshold_counts` reads: one walk per
+        query row, which the caller has validated.
         """
-        for i, row in enumerate(queries):
-            d2 = self.neighbor_d2(row, radius)
+        radius = check_non_negative(radius, "radius")
+        for i, (x, y) in enumerate(queries.tolist()):
+            d2 = self._d2_at(x, y, radius)
             yield np.full(d2.shape[0], i), d2
 
     # -- nearest neighbours ----------------------------------------------------
@@ -312,7 +318,7 @@ class KDTree:
         k = int(k)
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
-        x, y = float(center[0]), float(center[1])
+        x, y = as_center(center)
         k = min(k, self.points.shape[0])
 
         # Max-heap of the best k found so far, stored as (-dist2, position).

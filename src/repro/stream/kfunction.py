@@ -145,7 +145,7 @@ class StreamingKFunction:
         n = pts.shape[0]
         if n < 2:
             return np.zeros(self.thresholds.shape[0], dtype=np.int64)
-        grid = GridIndex(pts, cell_size=self._rmax)
+        grid = GridIndex.for_radius(pts, self._rmax)
         ordered = threshold_counts(grid, pts, self.thresholds).sum(axis=0)
         return (ordered - n) // 2
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
-from repro.index import DynamicGridIndex, GridIndex, KDTree, counts, threshold_counts
+from repro.index import (
+    BallTree, DynamicGridIndex, GridIndex, KDTree, counts, threshold_counts,
+)
 
 
 def brute_indices(points, center, radius):
@@ -131,6 +133,34 @@ class TestNeighborD2:
             np.testing.assert_array_equal(table, want)
 
 
+def dynamic_of(pts):
+    index = DynamicGridIndex(BoundingBox(0.0, 0.0, 20.0, 12.0), 1.0)
+    index.insert_many(pts)
+    return index
+
+
+class TestNonFiniteCenter:
+    """Every single-point query on every index rejects a non-finite centre."""
+
+    @pytest.mark.parametrize("make", [
+        lambda pts: GridIndex(pts, cell_size=1.0), dynamic_of, KDTree, BallTree,
+    ], ids=["grid", "dynamic", "kdtree", "balltree"])
+    @pytest.mark.parametrize("center", [
+        (np.nan, 1.0), (1.0, np.inf), (-np.inf, np.nan),
+    ])
+    def test_raises_data_error(self, random_points, make, center):
+        index = make(random_points)
+        queries = [index.range_indices, index.range_count]
+        if not isinstance(index, BallTree):
+            queries += [index.neighbor_d2, index.neighbor_distances]
+        for query in queries:
+            with pytest.raises(DataError, match="center"):
+                query(center, 1.0)
+        if isinstance(index, KDTree):
+            with pytest.raises(DataError, match="center"):
+                index.knn(center, 3)
+
+
 class TestDynamicGridTinyCells:
     def test_tiny_cell_size_caps_the_lattice(self):
         index = DynamicGridIndex(BoundingBox(0.0, 0.0, 1.0, 1.0), 1e-160)
@@ -235,13 +265,37 @@ class TestThresholdCountsProperty:
 
     BBOX = BoundingBox(0.0, 0.0, 10.0, 10.0)  # points at -3 and 12 lie outside
 
-    @staticmethod
-    def _tables(index, queries, ts, monkeypatch):
+    BUDGETS = (1, 7, 4096, 1 << 16)
+
+    @classmethod
+    def _tables(cls, index, queries, ts, monkeypatch):
         tables = []
-        for budget in (1, 7, 4096, 1 << 16):
+        for budget in cls.BUDGETS:
             monkeypatch.setattr(counts, "_PAIR_BUDGET", budget)
             tables.append(threshold_counts(index, queries, ts))
         return tables
+
+    @classmethod
+    def _check_neighbor_lists(cls, index, points, queries, radius, monkeypatch):
+        """Per query: the batched ids are the brute-force set, in the
+        order ``range_indices`` returns them, at any chunk and block size."""
+        single = ([index.range_indices(q, radius).tolist() for q in queries]
+                  if radius > 0.0 else None)
+        for budget in cls.BUDGETS:
+            monkeypatch.setattr(counts, "_PAIR_BUDGET", budget)
+            for block in (1, 5, counts.QUERY_BLOCK):
+                monkeypatch.setattr(counts, "QUERY_BLOCK", block)
+                got = []
+                for start, bounds, ids, d2 in index.neighbor_blocks(queries, radius):
+                    assert start == len(got)
+                    assert ids.shape == d2.shape
+                    got += [ids[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+                assert len(got) == queries.shape[0]
+                for q, ids in zip(queries, got):
+                    assert set(ids) == brute_indices(points, q, radius)
+                    assert len(set(ids)) == len(ids)
+                if single is not None:
+                    assert got == single
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -270,6 +324,9 @@ class TestThresholdCountsProperty:
                 for table in self._tables(index, q, ts, mp):
                     assert table.dtype == np.int64
                     np.testing.assert_array_equal(table, want)
+            # Fresh dynamic slots are 0..n-1, the static point indices.
+            for index in indexes[::2]:
+                self._check_neighbor_lists(index, pts, q, max(max(ts), 0.0), mp)
 
     def test_empty_index_and_empty_queries(self, random_points):
         ts = [0.0, 1.0, -1.0]

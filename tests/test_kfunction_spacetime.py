@@ -81,6 +81,21 @@ class TestAgainstBruteForce:
         np.testing.assert_array_equal(a, b)
         assert a[1, 0] == 2  # admitted at s=10.0 exactly
 
+    def test_zero_spatial_threshold_counts_coincident_pairs(self, st_data):
+        # s = 0 admits coincident points only; the grid backend walks its
+        # batched kernel at radius 0 instead of falling back to naive.
+        pts, times, _ = st_data
+        pts = np.vstack([pts, pts[:40], pts[:10]])
+        times = np.concatenate([times, times[:40] + 1.0, times[:10]])
+        t_ts = [0.0, 0.5, 5.0]
+        a = st_k_function(pts, times, [0.0], t_ts, method="naive")
+        b = st_k_function(pts, times, [0.0], t_ts, method="grid")
+        np.testing.assert_array_equal(a, b)
+        same = (pts[:, None, :] == pts[None, :, :]).all(axis=2)
+        dt = np.abs(times[:, None] - times[None, :])
+        want = [int((same & (dt <= t)).sum()) - pts.shape[0] for t in t_ts]
+        assert b[0].tolist() == want == [20, 20, 120]
+
     def test_unknown_method(self, st_data):
         pts, times, _ = st_data
         with pytest.raises(ParameterError, match="unknown ST K"):

@@ -1,12 +1,14 @@
 """Tests for network STKDV, the inhomogeneous K-function, and the range tree."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.kfunction import inhomogeneous_k, intensity_at_points, ripley_k
 from repro.core.nkdv import nkdv
 from repro.core.stnkdv import stnkdv
-from repro.data import csr, inhomogeneous, network_accidents, thomas
+from repro.data import chicago_crime, csr, inhomogeneous, network_accidents, thomas
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
 from repro.index import RangeTree
@@ -113,6 +115,25 @@ class TestInhomogeneousK:
         pts = csr(800, self.BBOX, seed=416)
         lam = intensity_at_points(pts, self.BBOX, bandwidth=2.0)
         assert lam.mean() == pytest.approx(800 / self.BBOX.area, rel=0.25)
+
+    def test_memory_stays_bounded(self):
+        """Neighbour lists are gathered one query block at a time: at
+        n = 16k the traced peak stays far below the hundreds of MiB that
+        gathering every query's neighbours at once would take."""
+        data = chicago_crime(16_000)
+        pts, bbox = data.points, data.bbox
+        for run in (
+            lambda: intensity_at_points(pts, bbox, bandwidth=1.0),
+            lambda: inhomogeneous_k(pts, np.linspace(0.1, 1.5, 8), bbox,
+                                    intensity=lam),
+        ):
+            tracemalloc.start()
+            try:
+                lam = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
 
 
 class TestRangeTree:
