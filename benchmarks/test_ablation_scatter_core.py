@@ -17,7 +17,8 @@ plan / workload, so each ratio isolates exactly the kernel-scatter core:
   recorded baseline of 3.7997 s;
 * gridcut scatter (quartic — the default kernel and the finite-support
   case cutoff-scatter is built for), legacy per-point loop vs
-  PatchScatter float64, asserted **bit-identical** (``np.array_equal``);
+  PatchScatter float64, asserted **bit-identical** (``np.array_equal``)
+  and >= 4x faster;
 * gridcut float32 kernel-table mode vs float64, asserted within the
   published ``table.max_abs_error * sum|w| + 1e-5 * max`` contract
   (the float32 mode halves surface memory; on polynomial kernels its
@@ -362,6 +363,9 @@ def test_zz_report(benchmark):
         # algorithmic (same machine, same plan, serial both sides), so it
         # is NOT gated on core count.
         assert speedup >= 5.0
+        # Same contract for the float64 gridcut row: one ordered
+        # scatter-add per batch must beat the per-point loop by >= 4x.
+        assert g_legacy / g_core >= 4.0
         rows = [
             ["dualtree execute", "legacy per-pair DFS",
              f"{legacy * 1e3:.0f} ms", "1.00x"],

@@ -274,7 +274,9 @@ def _infeasible_reason(backend: Backend,
 
 
 def _normalise_requested(requested: Mapping[str, object] | None) -> dict:
-    requested = {} if requested is None else dict(requested)
+    if not requested:
+        return {}  # the common no-hints call: nothing to check or filter
+    requested = dict(requested)
     unknown = set(requested) - set(_METHOD_ONLY_PARAMS)
     if unknown:
         raise ParameterError(
@@ -296,7 +298,8 @@ def _plan_key(problem: KDVProblem, requested: Mapping[str, object],
     return (
         problem.n, problem.nx, problem.ny, float(problem.bandwidth),
         problem.kernel.name, problem.weights is not None,
-        tuple(sorted((k, str(v)) for k, v in requested.items())),
+        tuple(sorted((k, str(v)) for k, v in requested.items()))
+        if requested else (),
         workers, _model_generation,
     )
 

@@ -10,16 +10,18 @@ primitives here:
 
 * :class:`PatchScatter` — planar patch scatter of a point batch onto one
   or more ``(nx, ny)`` surfaces.  Events are batched into
-  structure-of-arrays layout (one vectorised window computation, one
-  ``evaluate_sq`` call per batch instead of one per point) and applied
-  per point in **input order**, so the ``dtype=float64`` default is
-  bit-identical to the historical per-point loops — PR 2's
-  worker-invariance contract and the PR 3 shared-STKDV equivalences
-  survive unchanged.  ``dtype=float32`` sorts events into grid-aligned
-  buckets (output tiles stay cache-resident) and evaluates through the
-  precomputed :class:`~repro.core.kernels.KernelTable` under the
-  documented bounded-error contract ``|err| <= eps_rel * max + eps_abs``
-  (see ``docs/PERFORMANCE.md``).
+  structure-of-arrays layout: one vectorised window computation, one
+  ``evaluate_sq`` call and one ordered ``np.add.at`` per batch (and
+  surface) instead of one of each per point.  The flat pixel indices are
+  point-major, so every pixel still sums its contributions in **input
+  order** and the ``dtype=float64`` default is bit-identical to the
+  historical per-point loops — the worker-invariance and shared-STKDV
+  equivalence contracts survive unchanged.  ``dtype=float32`` sorts
+  events into grid-aligned buckets (output tiles stay cache-resident)
+  and evaluates through the precomputed
+  :class:`~repro.core.kernels.KernelTable` under the documented
+  bounded-error contract ``|err| <= eps_rel * max + eps_abs`` (see
+  ``docs/PERFORMANCE.md``).
 * :func:`accumulate_rect_blocks` — batched leaf-leaf evaluation for the
   dual-tree execute phase: contributions grouped by output rectangle,
   one separable rank-1 evaluation + BLAS product per rectangle for the
@@ -40,7 +42,7 @@ import numpy as np
 
 from .. import obs
 from .._validation import check_positive, check_probability
-from ..errors import ParameterError
+from ..errors import DataError, ParameterError
 from ..geometry import BoundingBox
 from .kernels import Kernel, KernelTable, build_kernel_table, get_kernel
 
@@ -55,10 +57,13 @@ __all__ = [
 #: Accepted ``dtype=`` spellings for the two accuracy modes.
 SCATTER_DTYPES = ("float64", "float32")
 
-#: Patch-buffer element budget per evaluate_sq batch.  A fixed constant —
-#: never derived from worker count or machine size — so batch boundaries
-#: (and the float32 accumulation order) are identical everywhere.
-_BATCH_ELEMS = 1 << 20
+#: Patch-buffer element budget per evaluate_sq batch; it bounds the
+#: batch's temporaries (distances, patch, flat pixel indices).  The output
+#: does not depend on it — every pixel sums its contributions in input
+#: order however the batches split — and a fixed constant, never derived
+#: from worker count or machine size, keeps the ``scatter.buckets``
+#: counter identical everywhere.
+_BATCH_ELEMS = 1 << 18
 
 #: Output-tile edge (pixels) used to bucket events in float32 mode; one
 #: bucket's working set (tile + patch halo) is what stays cache-resident.
@@ -146,8 +151,11 @@ class PatchScatter:
 
         Vectorised, but element-for-element the same arithmetic as the
         historical per-point loop, so the windows (and everything
-        downstream) are bit-identical to it.
+        downstream) are bit-identical to it.  Non-finite coordinates
+        raise :class:`~repro.errors.DataError` (they have no window).
         """
+        if not np.isfinite(points).all():
+            raise DataError("points contain non-finite coordinates")
         px = points[:, 0]
         py = points[:, 1]
         radius = self.radius
@@ -174,15 +182,18 @@ class PatchScatter:
         ----------
         values:
             ``(nx, ny)`` or ``(S, nx, ny)`` accumulation target of this
-            scatterer's dtype.
+            scatterer's dtype.  A strided view with no flat view of its
+            own (e.g. every other row of a bank) is accumulated through
+            a contiguous copy written back whole.
         points:
-            ``(n, 2)`` event locations (may lie outside the window;
+            ``(n, 2)`` finite event locations (may lie outside the window;
             points whose patch misses the grid contribute nothing).
         weights:
             ``None`` (unweighted: the raw patch is added), ``(n,)``
             per-point factors, or ``(n, S)`` per-point per-surface
             factors.  Signed values are allowed (removal = negated
-            insertion).
+            insertion); non-finite ones raise
+            :class:`~repro.errors.DataError`, as do non-finite points.
 
         Returns
         -------
@@ -209,6 +220,8 @@ class PatchScatter:
                     f"weights must have shape ({pts.shape[0]}, {n_surfaces}), "
                     f"got {np.asarray(weights).shape}"
                 )
+            if not np.isfinite(w).all():
+                raise DataError("weights contain non-finite entries")
         if pts.shape[0] == 0:
             return 0, 0
 
@@ -231,6 +244,11 @@ class PatchScatter:
             key = ty[order] * ((self.nx // _BUCKET_TILE) + 1) + tx[order]
             buckets = int(np.count_nonzero(np.diff(key)) + 1)
 
+        flat = vals.reshape(n_surfaces, -1)
+        # A target with no flat view (e.g. every other row of a bank)
+        # reshapes to a copy: accumulate there and write it back whole.
+        copied = not np.may_share_memory(flat, vals)
+
         widths = ix_hi[live] - ix_lo[live] + 1
         heights = iy_hi[live] - iy_lo[live] + 1
         patch_pixels = int((widths * heights).sum())
@@ -242,14 +260,13 @@ class PatchScatter:
 
         for c0 in range(0, live.size, batch):
             rows = live[c0:c0 + batch]
-            cx = ix_lo[rows][:, None] + offs_x[None, :]
-            cy = iy_lo[rows][:, None] + offs_y[None, :]
-            # Clip the gather only: columns beyond a point's own window
-            # land at patch positions >= its width and are sliced away
-            # below, so no masking is needed.
-            lx = self._xs[np.minimum(cx, self.nx - 1)] - pts[rows, 0][:, None]
-            ly = self._ys[np.minimum(cy, self.ny - 1)] - pts[rows, 1][:, None]
-            d2 = lx[:, :, None] ** 2 + ly[:, None, :] ** 2
+            # Pad every window to the batch's largest, clipped to the
+            # raster; entries past a point's own window are blanked below.
+            cx = np.minimum(ix_lo[rows][:, None] + offs_x[None, :], self.nx - 1)
+            cy = np.minimum(iy_lo[rows][:, None] + offs_y[None, :], self.ny - 1)
+            lx = self._xs[cx] - pts[rows, 0][:, None]
+            ly = self._ys[cy] - pts[rows, 1][:, None]
+            d2 = (lx ** 2)[:, :, None] + (ly ** 2)[:, None, :]
             if self.table is None:
                 patch = self.kernel.evaluate_sq(d2, self.bandwidth)
                 if self.truncated:
@@ -261,19 +278,29 @@ class PatchScatter:
                     # the float64 path, so the two modes cover exactly
                     # the same pixels.
                     patch = np.where(d2 <= self._r2, patch, np.float32(0.0))
-            for j, i in enumerate(rows):
-                pw = patch[j, : ix_hi[i] - ix_lo[i] + 1, : iy_hi[i] - iy_lo[i] + 1]
-                target = vals[
-                    :, ix_lo[i]:ix_hi[i] + 1, iy_lo[i]:iy_hi[i] + 1
-                ]
-                if w is None:
-                    target += pw
-                else:
-                    # Per-surface 2-D adds beat one strided 3-D
-                    # broadcast: the patch is small and S is a handful.
-                    w_row = w[i]
-                    for s in range(n_surfaces):
-                        target[s] += w_row[s] * pw
+            del d2
+            # Flat pixel indices in C order are point-major: point by
+            # point in ``live`` order, each window row by row.
+            # ``np.add.at`` is unbuffered and applies them in that order,
+            # so every pixel sums its contributions in the per-point
+            # loop's order.
+            pix = ((cx * self.ny)[:, :, None] + cy[:, None, :]).reshape(-1)
+            w_b = widths[c0:c0 + batch]
+            h_b = heights[c0:c0 + batch]
+            if w is None:
+                _blank_padding(patch, w_b, h_b)
+                for s in range(n_surfaces):
+                    np.add.at(flat[s], pix, patch.reshape(-1))
+            else:
+                weighted = np.empty(patch.shape)
+                for s in range(n_surfaces):
+                    # The loop's ``w * patch`` product, then the blanking
+                    # (a negative weight would flip the sign of -0.0).
+                    np.multiply(w[rows, s][:, None, None], patch, out=weighted)
+                    _blank_padding(weighted, w_b, h_b)
+                    np.add.at(flat[s], pix, weighted.reshape(-1))
+        if copied:
+            vals[...] = flat.reshape(vals.shape)
         if buckets == 0:
             buckets = (live.size + batch - 1) // batch
         if obs.is_active():
@@ -281,6 +308,22 @@ class PatchScatter:
             obs.count("scatter.buckets", buckets)
             obs.count("scatter.patch_pixels", patch_pixels)
         return int(live.size), patch_pixels
+
+
+def _blank_padding(block: np.ndarray, widths: np.ndarray,
+                   heights: np.ndarray) -> None:
+    """Set the padding of a ``(B, p, q)`` patch block to ``-0.0`` in place.
+
+    Row ``j`` of the block is point ``j``'s window padded to ``p x q``;
+    entries outside its own ``widths[j] x heights[j]`` corner become
+    ``-0.0``.  ``x + (-0.0)`` is ``x`` bit for bit for every float ``x``
+    (``+0.0`` included), so the padding scatters onto any pixel without
+    changing it.  Loops over padding offsets, which are few.
+    """
+    for a in range(int(widths.min()), block.shape[1]):
+        block[widths <= a, a, :] = -0.0
+    for b in range(int(heights.min()), block.shape[2]):
+        block[heights <= b, :, b] = -0.0
 
 
 def accumulate_rect_blocks(

@@ -187,19 +187,29 @@ class StreamingKDV:
         return self._acc.n_points
 
     def _candidate_tiles(self, pts: np.ndarray) -> list[tuple[int, int]]:
-        """Tiles whose pixels any of ``pts``'s kernel patches may touch."""
+        """Tiles whose pixels any of ``pts``'s kernel patches may touch.
+
+        Sorted ``(tx, ty)`` ids.  Marks a tile mask with one vectorised
+        pass per tile offset a patch can span (a handful), not per event.
+        """
         if pts.shape[0] == 0:
             return []
         ix_lo, ix_hi, iy_lo, iy_hi = self._acc.scatterer.windows(pts)
+        live = (ix_lo <= ix_hi) & (iy_lo <= iy_hi)  # patch meets the raster
+        if not live.any():
+            return []
         tile = self.ledger.tile
-        found: set[tuple[int, int]] = set()
-        for xlo, xhi, ylo, yhi in zip(ix_lo, ix_hi, iy_lo, iy_hi):
-            if xlo > xhi or ylo > yhi:
-                continue  # patch entirely outside the raster
-            for tx in range(int(xlo) // tile, int(xhi) // tile + 1):
-                for ty in range(int(ylo) // tile, int(yhi) // tile + 1):
-                    found.add((tx, ty))
-        return sorted(found)
+        tx_lo, tx_hi = ix_lo[live] // tile, ix_hi[live] // tile
+        ty_lo, ty_hi = iy_lo[live] // tile, iy_hi[live] // tile
+        mask = np.zeros((self.ledger.tiles_nx, self.ledger.tiles_ny), bool)
+        for ox in range(int((tx_hi - tx_lo).max()) + 1):
+            tx = tx_lo + ox
+            in_x = tx <= tx_hi
+            for oy in range(int((ty_hi - ty_lo).max()) + 1):
+                ty = ty_lo + oy
+                hit = in_x & (ty <= ty_hi)
+                mask[tx[hit], ty[hit]] = True
+        return [(tx, ty) for tx, ty in np.argwhere(mask).tolist()]
 
     def _compare_and_mark(
         self, candidates: list[tuple[int, int]], before: list[np.ndarray]

@@ -19,6 +19,7 @@ from repro.core.kdv import KDVProblem, MultiSurfaceAccumulator, kde_dualtree, kd
 from repro.core.kdv.naive import kde_naive
 from repro.core.kdv.base import effective_radius
 from repro.core.kernels import KERNELS, build_kernel_table, get_kernel
+import repro.core.scatter as scatter_core
 from repro.core.scatter import (
     SCATTER_DTYPES,
     PatchScatter,
@@ -26,8 +27,9 @@ from repro.core.scatter import (
     scatter_line,
 )
 from repro.core.stkdv import stkdv
-from repro.errors import ParameterError
+from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
+from repro.stream import StreamingKDV
 
 BBOX = BoundingBox(0.0, 0.0, 10.0, 8.0)
 
@@ -72,6 +74,22 @@ def legacy_scatter(values, points, weights, bbox, size, bandwidth, kernel,
                     w_row[s] * patch
                 )
     return values
+
+
+def legacy_candidate_tiles(kdv, pts):
+    """The old ``StreamingKDV._candidate_tiles`` set walk, verbatim."""
+    if pts.shape[0] == 0:
+        return []
+    ix_lo, ix_hi, iy_lo, iy_hi = kdv._acc.scatterer.windows(pts)
+    tile = kdv.ledger.tile
+    found: set[tuple[int, int]] = set()
+    for xlo, xhi, ylo, yhi in zip(ix_lo, ix_hi, iy_lo, iy_hi):
+        if xlo > xhi or ylo > yhi:
+            continue  # patch entirely outside the raster
+        for tx in range(int(xlo) // tile, int(xhi) // tile + 1):
+            for ty in range(int(ylo) // tile, int(yhi) // tile + 1):
+                found.add((tx, ty))
+    return sorted(found)
 
 
 def random_points(rng, n, spread=1.4):
@@ -209,6 +227,64 @@ class TestFloat64BitIdentity:
         )
         np.testing.assert_allclose(acc.surface(0), ref[0], rtol=1e-12,
                                    atol=1e-12 * float(ref.max()))
+
+
+    @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+    @pytest.mark.parametrize("n_surfaces", [1, 3])
+    def test_split_batches_onto_nonzero_bank(self, monkeypatch, kernel_name,
+                                             n_surfaces):
+        # A tiny element budget splits the input into many batches, with
+        # coincident points straddling the splits; the second, signed
+        # scatter lands on a bank that already holds mass.  The bank
+        # starts at -0.0, so a padding entry that wrote anything but
+        # -0.0 would flip a sign bit the byte comparison sees.
+        monkeypatch.setattr(scatter_core, "_BATCH_ELEMS", 37)
+        rng = np.random.default_rng(31)
+        kernel = get_kernel(kernel_name)
+        size = (26, 21)
+        pts = random_points(rng, 150)
+        pts[40:60] = pts[39]
+        first = rng.uniform(-2.0, 2.0, (150, n_surfaces))
+        second = rng.uniform(-2.0, 2.0, (150, n_surfaces))
+        ref = legacy_scatter(
+            np.full((n_surfaces, *size), -0.0), pts, first, BBOX, size, 1.1,
+            kernel,
+        )
+        ref = legacy_scatter(ref, pts[::-1], second, BBOX, size, 1.1, kernel)
+        sc = PatchScatter(BBOX, size, 1.1, kernel=kernel)
+        got = np.full((n_surfaces, *size), -0.0)
+        sc.scatter(got, pts, first)
+        sc.scatter(got, pts[::-1], second)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_float32_unchanged_by_batch_split(self, monkeypatch, weighted):
+        rng = np.random.default_rng(8)
+        size = (90, 70)
+        pts = random_points(rng, 400)
+        pts[100:130] = pts[99]
+        w = rng.uniform(-2.0, 2.0, (400, 2)) if weighted else None
+        sc = PatchScatter(BBOX, size, 0.7, kernel="epanechnikov",
+                          dtype="float32")
+        whole = np.full((2, *size), 0.25, dtype=np.float32)
+        sc.scatter(whole, pts, w)
+        monkeypatch.setattr(scatter_core, "_BATCH_ELEMS", 50)
+        split = np.full((2, *size), 0.25, dtype=np.float32)
+        sc.scatter(split, pts, w)
+        assert np.array_equal(split, whole)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_candidate_tiles_match_set_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        size = (int(rng.integers(1, 90)), int(rng.integers(1, 90)))
+        kdv = StreamingKDV(BBOX, size, float(rng.uniform(0.05, 3.0)),
+                           tile=int(rng.integers(1, 40)))
+        # spread=3 puts many patches off the raster or clipped at its edge.
+        for n in (0, 1, 7, 300):
+            pts = random_points(rng, n, spread=3.0)
+            assert kdv._candidate_tiles(pts) == legacy_candidate_tiles(kdv, pts)
+        off = np.array([[1e6, 1e6], [-1e6, 4.0]])
+        assert kdv._candidate_tiles(off) == [] == legacy_candidate_tiles(kdv, off)
 
 
 class TestFloat32BoundedError:
@@ -447,6 +523,46 @@ class TestPatchScatterValidation:
         with pytest.raises(ParameterError):
             sc.scatter(np.zeros((2, 8, 8)), np.zeros((3, 2)),
                        np.ones((3, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        sc = PatchScatter(BBOX, (8, 8), 1.0)
+        values = np.zeros((1, 8, 8))
+        with pytest.raises(DataError):
+            sc.scatter(values, np.array([[1.0, 1.0], [bad, 2.0]]))
+        assert not values.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        sc = PatchScatter(BBOX, (8, 8), 1.0)
+        values = np.zeros((1, 8, 8))
+        with pytest.raises(DataError):
+            sc.scatter(values, np.array([[1.0, 1.0], [3.0, 2.0]]),
+                       np.array([1.0, bad]))
+        assert not values.any()
+
+    @pytest.mark.parametrize("view", ["surface_stride", "row_stride",
+                                      "transposed"])
+    def test_strided_values_accumulate_in_place(self, view):
+        rng = np.random.default_rng(12)
+        size = (20, 16)
+        pts = random_points(rng, 80)
+        w = rng.uniform(-1.0, 1.0, (80, 2))
+        sc = PatchScatter(BBOX, size, 1.2)
+        expected = np.zeros((2, *size))
+        sc.scatter(expected, pts, w)
+        if view == "surface_stride":
+            parent = np.zeros((4, *size))
+            values, rest = parent[::2], parent[1::2]
+        elif view == "row_stride":
+            parent = np.zeros((2, 2 * size[0], size[1]))
+            values, rest = parent[:, ::2], parent[:, 1::2]
+        else:
+            parent = np.zeros((2, size[1], size[0]))
+            values, rest = parent.transpose(0, 2, 1), parent[:0]
+        sc.scatter(values, pts, w)
+        assert np.array_equal(values, expected)
+        assert not rest.any()  # nothing outside the view was written
 
     def test_truncated_hoisted_into_init(self):
         assert PatchScatter(BBOX, (8, 8), 1.0, kernel="gaussian").truncated
