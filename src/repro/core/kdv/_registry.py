@@ -46,7 +46,9 @@ class Backend:
     weights: bool = True  # honours per-point weights
     # Why it cannot run a problem with these features, or None.
     infeasible: Callable[[Features], str | None] = lambda features: None
-    calibrates: str | None = None  # the coefficient trace calibration rescales
+    # The coefficient trace calibration rescales, or a function of the
+    # traced plan's features naming it.
+    calibrates: str | Callable[[Features], str] | None = None
     auto: bool = False  # in the exact family method="auto" plans among
 
 
@@ -71,14 +73,26 @@ def _grid_cost(c, f: Features) -> float:
             + c("grid_px") * _npx(f))
     if f.get("dtype") == "float32":
         cost *= c("grid_f32_factor")
+    if f["kernel"] == "gaussian":
+        cost *= c("grid_gauss_factor")
     return cost
 
 
 def _naive_cost(c, f: Features) -> float:
     # Each worker past the first pays a fixed dispatch overhead, so a tiny
     # problem is not fanned out just because workers are available.
-    return (c("parallel_overhead") * (float(f.get("workers", 1)) - 1.0)
-            + c("naive_pp") * _n(f) * _npx(f) / _speedup(f))
+    overhead = c("parallel_overhead") * (float(f.get("workers", 1)) - 1.0)
+    if f["kernel"] != "gaussian":
+        return overhead + c("naive_pp") * _n(f) * _npx(f) / _speedup(f)
+    # The separable gather: every worker builds the whole x-table, and
+    # the y-factors and the products split over the workers.
+    return (overhead + c("naive_factor") * _n(f) * float(f["nx"])
+            + (c("naive_factor") * _n(f) * float(f["ny"])
+               + c("naive_product") * _n(f) * _npx(f)) / _speedup(f))
+
+
+def _naive_calibrates(f: Features) -> str:
+    return "naive_product" if f.get("kernel") == "gaussian" else "naive_pp"
 
 
 def _sweep_cost(c, f: Features) -> float:
@@ -127,7 +141,7 @@ BACKENDS: dict[str, Backend] = {b.name: b for b in (
             calibrates="sweep_unit", auto=True),
     Backend("naive", kde_naive, _naive_cost,
             params={"workers": None, "backend": None},
-            calibrates="naive_pp", auto=True),
+            calibrates=_naive_calibrates, auto=True),
     Backend("dualtree", kde_dualtree, _dualtree_cost,
             params={"tau": _TAU, "workers": None, "backend": None},
             calibrates="dualtree_refine", auto=True),

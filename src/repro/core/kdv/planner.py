@@ -156,6 +156,15 @@ class CostModel:
     * ``grid_f32_factor`` — the measured float32/float64 gridcut ratio
       of ``BENCH_scatter_core.json`` (the kernel-table mode pays
       bucketing overhead, it is not free);
+    * ``naive_factor`` / ``naive_product`` — the separable Gaussian
+      gather: seconds per factor evaluation (``n * (nx + ny)`` of them)
+      and per product multiply-add (``n * nx * ny``), fitted to 24
+      timed runs (n 2k-20k, 32x24 to 256x192 pixels; one BLAS thread,
+      2-vCPU x86-64 host; max relative error 18%);
+    * ``grid_gauss_factor`` and ``grid_base`` — measured on that host
+      beside them: the Gaussian scatter costs 1.5x the quartic one over
+      the same patch, and a grid call with a near-empty patch takes
+      0.3 ms;
     * the remaining scatter/base terms are order-of-magnitude anchors
       chosen so the model reproduces every row ordering of the ablation
       table.
@@ -185,11 +194,14 @@ class CostModel:
 
 _DEFAULT_COEFFICIENTS: dict[str, float] = {
     "naive_pp": 3.2e-8,
+    "naive_factor": 6.1e-9,
+    "naive_product": 5.5e-11,
     "parallel_overhead": 2.0e-3,
-    "grid_base": 4.0e-3,
+    "grid_base": 3.0e-4,
     "grid_pp": 3.0e-9,
     "grid_px": 5.0e-9,
     "grid_f32_factor": 1.45,
+    "grid_gauss_factor": 1.5,
     "sweep_base": 8.0e-3,
     "sweep_unit": 2.0e-8,
     "dualtree_base": 2.0e-2,
@@ -430,12 +442,12 @@ def _fit_from_traces(traces: Iterable, fitted: dict[str, float]) -> None:
         root = getattr(diagnostics, "root", None)
         measured = float(getattr(root, "seconds", 0.0) or 0.0)
         backend = BACKENDS.get(record_.get("method"))
-        if (predicted <= 0.0 or measured <= 0.0 or backend is None
-                or backend.calibrates is None):
+        name = None if backend is None else backend.calibrates
+        if callable(name):
+            name = name(record_.get("features") or {})
+        if predicted <= 0.0 or measured <= 0.0 or name is None:
             continue
-        log_ratios.setdefault(backend.calibrates, []).append(
-            math.log(measured / predicted)
-        )
+        log_ratios.setdefault(name, []).append(math.log(measured / predicted))
     for name, ratios in log_ratios.items():
         scale = math.exp(sum(ratios) / len(ratios))
         fitted[name] = _model.coefficient(name) * scale

@@ -13,7 +13,9 @@ left to right, we maintain the *aggregate polynomial coefficients* of all
 currently active points: a point adds its expanded coefficients when the
 sweep enters its interval and subtracts them on exit.  Between events the
 aggregate polynomial is evaluated on the pixel lattice in one vectorised
-pass.
+pass.  The entries and exits of a row go into a delta table, each side
+as one unbuffered 1-D add on its flat view in point order, and a prefix
+sum along x turns the table into the aggregate at every pixel.
 
 Complexity: each of the ``Y`` rows costs O(X + n_band) where ``n_band`` is
 the number of points within the bandwidth of the row — the O(Y(X + n))
@@ -69,6 +71,26 @@ def _expanded_coeffs(pu: np.ndarray, a: np.ndarray, c: np.ndarray, w) -> np.ndar
     if not np.isscalar(w) or w != 1.0:
         out *= np.asarray(w, dtype=np.float64).reshape(-1, 1)
     return out
+
+
+def _delta_table(i_in: np.ndarray, i_out: np.ndarray,
+                 point_coeffs: np.ndarray, nx: int) -> np.ndarray:
+    """``(nx + 1, deg + 1)`` table: ``+coeffs`` at each point's entry pixel,
+    ``-coeffs`` at its exit pixel.
+
+    Prefix-summing it along x yields the active aggregate at every pixel.
+    The adds, then the subtracts, are each one unbuffered 1-D add on the
+    flat view with point-major indices ``i * (deg + 1) + k``, so every
+    cell takes them in point order, as a row-wise add would.
+    """
+    width = point_coeffs.shape[1]
+    delta = np.zeros((nx + 1, width), dtype=np.float64)
+    flat = delta.reshape(-1)
+    cols = np.arange(width)
+    coeffs = point_coeffs.reshape(-1)
+    np.add.at(flat, (i_in[:, None] * width + cols).reshape(-1), coeffs)
+    np.subtract.at(flat, (i_out[:, None] * width + cols).reshape(-1), coeffs)
+    return delta
 
 
 def kde_sweep(problem: KDVProblem):
@@ -152,11 +174,7 @@ def kde_sweep(problem: KDVProblem):
         band_points += px.shape[0]
         point_coeffs = _expanded_coeffs(px, dy2, coeffs, w)
 
-        # Delta table: +coeffs at entry pixel, -coeffs at exit pixel;
-        # prefix-summing along x yields the active aggregate at every pixel.
-        delta = np.zeros((nx + 1, deg + 1), dtype=np.float64)
-        np.add.at(delta, i_in, point_coeffs)
-        np.subtract.at(delta, i_out, point_coeffs)
+        delta = _delta_table(i_in, i_out, point_coeffs, nx)
         active = np.cumsum(delta[:nx], axis=0)
 
         values[:, j] = np.einsum("ik,ik->i", active, xpow)
