@@ -21,7 +21,7 @@ import numpy as np
 from ... import obs
 from ..._validation import as_points, check_thresholds
 from ...errors import ParameterError
-from ...index import GridIndex, threshold_counts
+from ...index import GridIndex, threshold_totals
 from ...parallel import parallel_map, spawn_rngs
 
 __all__ = ["cross_k_function", "CrossKFunctionPlot", "cross_k_function_plot"]
@@ -36,7 +36,7 @@ def cross_k_function(points_a, points_b, thresholds) -> np.ndarray:
     a = as_points(points_a, name="points_a")
     b = as_points(points_b, name="points_b")
     ts = check_thresholds(thresholds)
-    return threshold_counts(GridIndex.for_radius(b, ts[-1]), a, ts).sum(axis=0)
+    return threshold_totals(GridIndex.for_radius(b, ts[-1]), a, ts)
 
 
 @dataclass(frozen=True)

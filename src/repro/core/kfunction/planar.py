@@ -7,15 +7,17 @@ Two backends mirror the paper's §2.3 taxonomy:
   only backend that supports torus edge-correction, which needs raw
   displacements);
 * ``grid`` — the range-query-based method: one batched cell-block pass
-  over every point's neighbours at the largest threshold, then
-  multi-threshold binning against the sorted squared thresholds (all D
-  thresholds for the price of one pass).
+  over every point's candidate neighbours at the largest threshold,
+  counted at all D thresholds in that one pass, without listing a pair.
 
-Every grid count in the planar family (global, border-corrected, cross
-and local K) is :func:`repro.index.threshold_counts` over the grid that
+Every grid count in the planar family runs over the grid that
 :meth:`GridIndex.for_radius <repro.index.GridIndex.for_radius>` builds at
-the largest threshold; its one cell-size floor means a zero threshold
-needs no special case anywhere.
+the largest threshold: :func:`repro.index.threshold_totals` for the
+global and cross K, which sum over their queries, and
+:func:`repro.index.threshold_counts` for the per-point border-corrected
+and local K.  Both apply the same ``d2 <= t * t`` test, and the grid's
+one cell-size floor means a zero threshold needs no special case
+anywhere.
 
 By default self-pairs are excluded (the spatstat convention).  The paper's
 Equation 2 literally sums over *all* ordered pairs including ``i = j``;
@@ -31,7 +33,7 @@ from ... import obs
 from ..._validation import as_points, check_thresholds
 from ...errors import ParameterError
 from ...geometry import BoundingBox
-from ...index import GridIndex, threshold_counts
+from ...index import GridIndex, threshold_counts, threshold_totals
 
 __all__ = [
     "k_function",
@@ -136,7 +138,7 @@ def k_function(
         counts = _k_naive(pts, ts, bbox, torus, int(chunk))
     else:
         grid = GridIndex.for_radius(pts, ts[-1])
-        counts = threshold_counts(grid, pts, ts).sum(axis=0)
+        counts = threshold_totals(grid, pts, ts)
 
     # Ordered pairs (self-pairs included) admitted at the largest threshold.
     if ts.shape[0]:

@@ -56,8 +56,9 @@ def within(d2, radius):
 
     ``d2`` is :func:`squared_norm` of the float coordinate differences
     ``(px - qx, py - qy)``.  A multi-threshold count is the same test
-    per threshold: bin each ``d2`` with ``searchsorted(sorted_t2, d2,
-    side="left")`` and ``cumsum`` the bins (``repro.index.threshold_counts``).
+    applied per threshold, ``d2 <= t2[k]`` with ``t2 = copysign(t * t,
+    t)`` so a negative threshold admits nothing
+    (``repro.index.threshold_totals`` and ``threshold_counts``).
     """
     return d2 <= radius * radius
 

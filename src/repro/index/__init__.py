@@ -14,7 +14,8 @@ grids as the standard carriers).  They expose a common core:
   cell-block kernel)
 * the module-level ``threshold_counts(index, queries, thresholds)`` over
   any of those three — the one multi-threshold pair counter of the planar
-  K-function family
+  K-function family — and ``threshold_totals``, its sum over the queries
+  counted on either grid without listing the pairs
 * node-level traversal with distance bounds (kd-tree, ball-tree) — carrier
   for the bound-based KDV refinement.
 
@@ -24,11 +25,11 @@ naive pair counts) agree on boundary and underflow cases.
 """
 
 from .balltree import BallTree
-from .counts import QUERY_BLOCK, threshold_counts
+from .counts import QUERY_BLOCK, threshold_counts, threshold_totals
 from .dynamic import DynamicGridIndex
 from .grid import GridIndex
 from .kdtree import KDTree
 from .rangetree import RangeTree
 
 __all__ = ["QUERY_BLOCK", "BallTree", "DynamicGridIndex", "GridIndex", "KDTree",
-           "RangeTree", "threshold_counts"]
+           "RangeTree", "threshold_counts", "threshold_totals"]

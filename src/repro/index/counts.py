@@ -9,19 +9,31 @@ takes a whole query array at once: each query's clamped cell block at
 :func:`~repro.geometry.distance.search_reach` of the radius becomes one
 run per lattice column, found by ``searchsorted`` on the sorted cell ids
 (no dense ``nx * ny`` array, so a lattice may have 2**20 cells per
-axis); the runs expand into candidate positions, and every candidate
-pair is tested with :func:`~repro.geometry.distance.within`.  Work goes
-in chunks of a fixed :data:`_PAIR_BUDGET` candidate pairs, so memory
-stays bounded however many queries or candidates there are.
-:meth:`CellLayout.pairs` (the counting path) yields no point ids;
-:meth:`CellLayout.neighbors` does.  Through :class:`CellQueries`,
-:class:`~repro.index.GridIndex` and :class:`~repro.index.DynamicGridIndex`
-answer every query with it, a single-point one as a batch of one.
+axis); the runs expand into candidate positions, and every candidate's
+squared distance is computed against its run's query.  Work goes in
+chunks of a fixed :data:`_PAIR_BUDGET` candidate pairs, so memory stays
+bounded however many queries or candidates there are.  Three readers
+share that one chunk loop:
 
-:func:`threshold_counts` bins each kept squared distance against the
-sorted squared thresholds and turns the per-query histograms into
-counts with one ``cumsum``: the ``within`` test at all ``D`` thresholds
-for the price of one pass over the pairs.
+* :meth:`CellLayout.pairs` keeps the candidates that pass
+  :func:`~repro.geometry.distance.within` and yields their query index
+  and squared distance, no point ids;
+* :meth:`CellLayout.neighbors` yields the point ids too;
+* :meth:`CellLayout.totals` lists no pair: per chunk it adds
+  ``count_nonzero(d2 <= t2)`` for each squared threshold.
+
+Through :class:`CellQueries`, :class:`~repro.index.GridIndex` and
+:class:`~repro.index.DynamicGridIndex` answer every query with it, a
+single-point one as a batch of one.
+
+Both multi-threshold counters test ``d2 <= t2`` with ``t2 = copysign(t
+* t, t)``, so a zero threshold counts coincident points only and a
+negative one admits nothing.  :func:`threshold_totals` gives the ``(D,)``
+totals over all queries, which is what the global, cross and streamed K
+need.  :func:`threshold_counts` keeps the per-query ``(nq, D)`` table
+(local and border-corrected K): it bins each kept squared distance at
+``#{sorted t2 < d2}``, one comparison per threshold, and turns the
+per-query histograms into counts with one ``cumsum``.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from ..errors import ParameterError
 from ..geometry.distance import search_reach, squared_norm, within
 
 __all__ = ["QUERY_BLOCK", "CellLayout", "CellQueries", "lattice_axis",
-           "threshold_counts"]
+           "threshold_counts", "threshold_totals"]
 
 #: Candidate pairs per kernel chunk.  A constant, never derived from the
 #: input: chunking changes no result, only the size of the temporaries.
@@ -76,13 +88,16 @@ class CellLayout:
     ny: int
 
     def _chunks(self, queries: np.ndarray, radius: float):
-        """Yield ``(pos, query_index, d2, keep)`` per chunk of candidates.
+        """Yield ``(pos, runs, seg, d2)`` per chunk of candidates.
 
-        ``d2`` is ``squared_norm(px - qx, py - qy)``, ``keep`` the
-        :func:`~repro.geometry.distance.within` mask.  Query indices never
-        decrease; a query's candidates come column by column, in order.
+        The chunk's candidates come from ``seg[j]`` positions of query
+        ``runs[j]`` in turn (``np.repeat(runs, seg)`` names each one's
+        query); query indices never decrease, and a query's candidates
+        come column by column, in order.  ``d2`` is ``squared_norm(px -
+        qx, py - qy)`` of every candidate, untested: the callers apply
+        :func:`~repro.geometry.distance.within`.  ``radius >= 0`` is
+        validated by the caller.
         """
-        radius = check_non_negative(radius, "radius")
         m = queries.shape[0]
         if m == 0 or self.cells.shape[0] == 0:
             return
@@ -96,6 +111,8 @@ class CellLayout:
         # One run of sorted positions per (query, block column).
         ncol = ix_hi - ix_lo + 1
         run_q = np.repeat(np.arange(m), ncol)
+        run_x = qx[run_q]
+        run_y = qy[run_q]
         col = np.arange(run_q.shape[0]) - np.repeat(np.cumsum(ncol) - ncol, ncol)
         base = (ix_lo[run_q] + col) * self.ny
         start = np.searchsorted(self.cells, base + iy_lo[run_q], side="left")
@@ -110,24 +127,43 @@ class CellLayout:
             r1 = int(np.searchsorted(ends, c1 - 1, side="right")) + 1
             seg = np.minimum(ends[r0:r1], c1) - np.maximum(begins[r0:r1], c0)
             pos = np.arange(c0, c1) + np.repeat(shift[r0:r1], seg)
-            qi = np.repeat(run_q[r0:r1], seg)
-            d2 = squared_norm(self.xs[pos] - qx[qi], self.ys[pos] - qy[qi])
-            yield pos, qi, d2, within(d2, radius)
+            d2 = squared_norm(self.xs[pos] - np.repeat(run_x[r0:r1], seg),
+                              self.ys[pos] - np.repeat(run_y[r0:r1], seg))
+            yield pos, run_q[r0:r1], seg, d2
 
     def pairs(self, queries: np.ndarray, radius: float
               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(query_index, d2)`` of every pair within ``radius >= 0``.
 
-        The counting form: no point ids are gathered.
+        The per-query counting form: no point ids are gathered.
         """
-        for _, qi, d2, keep in self._chunks(queries, radius):
-            yield qi[keep], d2[keep]
+        radius = check_non_negative(radius, "radius")
+        for _, runs, seg, d2 in self._chunks(queries, radius):
+            keep = within(d2, radius)
+            yield np.repeat(runs, seg)[keep], d2[keep]
 
     def neighbors(self, queries: np.ndarray, radius: float
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(query_index, ids, d2)`` of every pair within ``radius >= 0``."""
-        for pos, qi, d2, keep in self._chunks(queries, radius):
-            yield qi[keep], self.ids[pos[keep]], d2[keep]
+        radius = check_non_negative(radius, "radius")
+        for pos, runs, seg, d2 in self._chunks(queries, radius):
+            keep = within(d2, radius)
+            yield np.repeat(runs, seg)[keep], self.ids[pos[keep]], d2[keep]
+
+    def totals(self, queries: np.ndarray, t2: np.ndarray, radius: float
+               ) -> np.ndarray:
+        """``(D,)`` int64 count of candidate pairs with ``d2 <= t2[k]``.
+
+        ``radius >= 0`` must reach every threshold (``t2 <= radius *
+        radius``).  No pair is listed: each chunk adds one
+        ``count_nonzero`` per threshold.
+        """
+        limits = t2.tolist()
+        out = [0] * len(limits)
+        for _, _, _, d2 in self._chunks(queries, radius):
+            for k, t in enumerate(limits):
+                out[k] += int(np.count_nonzero(d2 <= t))
+        return np.array(out, dtype=np.int64)
 
 
 class CellQueries:
@@ -196,36 +232,68 @@ class CellQueries:
         return np.sqrt(self.neighbor_d2(center, radius))
 
 
+def _squared_thresholds(thresholds) -> tuple[np.ndarray, float]:
+    """``(t2, rmax)``: ``copysign(t * t, t)`` per threshold and the pair radius.
+
+    A negative threshold's ``t2`` is negative, so ``d2 <= t2`` admits
+    nothing; a zero one admits coincident points only.  ``rmax`` is the
+    largest threshold (zero if none is positive).
+    """
+    ts = np.asarray(thresholds, dtype=np.float64).ravel()
+    if ts.size == 0:
+        raise ParameterError("thresholds must contain at least one value")
+    rmax = check_non_negative(max(float(ts.max()), 0.0), "radius")
+    return np.copysign(ts * ts, ts), rmax
+
+
 def threshold_counts(index, queries, thresholds) -> np.ndarray:
     """``(nq, D)`` int64 counts of indexed points within each threshold.
 
     ``index`` is any :class:`GridIndex`, :class:`DynamicGridIndex` or
     :class:`KDTree`; its ``neighbor_pairs`` yields the pairs within the
-    largest threshold.  Each squared distance lands in the bin of the
-    first sorted squared threshold it does not exceed, and a per-query
-    ``cumsum`` of the bins gives ``#{d2 <= t * t}`` at every threshold,
-    in the order given.  A zero threshold counts coincident points only;
-    a negative one admits nothing.
+    largest threshold.  Count ``k`` of a query is ``#{d2 <= t2[k]}`` with
+    ``t2 = copysign(t * t, t)``: each squared distance lands in the bin
+    ``#{sorted t2 < d2}`` (one comparison per threshold) and a per-query
+    ``cumsum`` of the bins gives every threshold, in the order given.  A
+    zero threshold counts coincident points only; a negative one admits
+    nothing.  Callers that only sum over the queries use
+    :func:`threshold_totals`.
     """
     q = as_points(queries, name="queries", allow_empty=True)
-    ts = np.asarray(thresholds, dtype=np.float64).ravel()
-    if ts.size == 0:
-        raise ParameterError("thresholds must contain at least one value")
-    rmax = max(float(ts.max()), 0.0)
-    t2 = np.copysign(ts * ts, ts)  # a negative threshold admits nothing
+    t2, rmax = _squared_thresholds(thresholds)
     order = np.argsort(t2, kind="stable")
-    t2_sorted = t2[order]
-    width = ts.size + 1  # the last bin holds pairs beyond every threshold
+    t2_sorted = t2[order].tolist()
+    width = t2.size + 1  # the last bin holds pairs beyond every threshold
     bins = np.zeros((q.shape[0], width), dtype=np.int64)
     for qi, d2 in index.neighbor_pairs(q, rmax):
         if qi.size == 0:
             continue
         lo = int(qi[0])
         hi = int(qi[-1]) + 1
-        b = np.searchsorted(t2_sorted, d2, side="left")
-        bins[lo:hi] += np.bincount(
-            (qi - lo) * width + b, minlength=(hi - lo) * width
-        ).reshape(hi - lo, width)
-    out = np.empty((q.shape[0], ts.size), dtype=np.int64)
+        b = (qi - lo) * width
+        for t in t2_sorted:
+            b += d2 > t
+        bins[lo:hi] += np.bincount(b, minlength=(hi - lo) * width).reshape(
+            hi - lo, width)
+    out = np.empty((q.shape[0], t2.size), dtype=np.int64)
     out[:, order] = np.cumsum(bins[:, :-1], axis=1)
     return out
+
+
+def threshold_totals(index, queries, thresholds) -> np.ndarray:
+    """``(D,)`` int64 pair counts within each threshold, summed over queries.
+
+    Equals ``threshold_counts(index, queries, thresholds).sum(axis=0)``
+    exactly, without listing a pair: each chunk of the grid's cell-block
+    kernel adds ``count_nonzero(d2 <= t2[k])`` per threshold, with the
+    same ``t2 = copysign(t * t, t)``.  ``index`` is a :class:`GridIndex`
+    or a :class:`DynamicGridIndex`.
+    """
+    if not isinstance(index, CellQueries):
+        raise ParameterError(
+            "threshold_totals needs a GridIndex or a DynamicGridIndex, "
+            f"got {type(index).__name__}"
+        )
+    q = as_points(queries, name="queries", allow_empty=True)
+    t2, rmax = _squared_thresholds(thresholds)
+    return index._cells_layout().totals(q, t2, rmax)

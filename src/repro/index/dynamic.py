@@ -5,8 +5,10 @@ one-shot range batches, useless for a sliding window where points enter
 and expire every refresh.  :class:`DynamicGridIndex` keeps the same cell
 hashing (square cells, exact distance filter) over growable slot arrays
 that record each live slot's coordinates and cell id: insertion and
-removal are O(1) per point, so the streaming K-function can charge only
-the entering/leaving points per refresh instead of rebuilding.
+removal are O(1) per point, and ``insert_many`` / ``remove_many`` take
+a whole batch in a few array operations, so the streaming K-function
+can charge only the entering/leaving points per refresh instead of
+rebuilding.
 
 Queries go through the batched cell-block kernel,
 :class:`~repro.index.counts.CellLayout`, over the live slots sorted by
@@ -145,15 +147,34 @@ class DynamicGridIndex(CellQueries):
         """Add one point; returns its slot id (stable until removed)."""
         return int(self.insert_many([[x, y]])[0])
 
+    def remove_many(self, slots) -> None:
+        """Remove the points occupying ``slots`` (as returned by insert).
+
+        The free list ends as the one-by-one :meth:`remove` calls would
+        leave it, so later inserts get the same slots.  The whole batch is
+        checked first: an out-of-range or dead slot, or one named twice,
+        raises :class:`~repro.errors.ParameterError` and removes nothing.
+        """
+        s = np.asarray(slots).astype(np.int64, copy=False).ravel()
+        if s.size == 0:
+            return
+        live = (s >= 0) & (s < self._top)
+        live[live] = self._cell_of_slot[s[live]] >= 0
+        if not live.all():
+            raise ParameterError(
+                f"slot {int(s[~live][0])} does not hold a live point"
+            )
+        seen, times = np.unique(s, return_counts=True)
+        if (times > 1).any():
+            raise ParameterError(f"slot {int(seen[times > 1][0])} is named twice")
+        self._cell_of_slot[s] = -1
+        self._free.extend(s.tolist())
+        self._n -= s.size
+        self._layout = None
+
     def remove(self, slot: int) -> None:
         """Remove the point occupying ``slot`` (as returned by insert)."""
-        slot = int(slot)
-        if not (0 <= slot < self._top) or self._cell_of_slot[slot] < 0:
-            raise ParameterError(f"slot {slot} does not hold a live point")
-        self._cell_of_slot[slot] = -1
-        self._free.append(slot)
-        self._n -= 1
-        self._layout = None
+        self.remove_many([int(slot)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,11 +10,13 @@ only the pairs that involve entering or leaving events:
 * the **entering** events are counted against the surviving window (plus
   the pairs among themselves) and inserted.
 
-Both directions are one batched :func:`~repro.index.threshold_counts`
-over the dynamic index at the largest threshold — the cell-block pair
-kernel of the batch grid backend, fed the whole changed batch at once —
-and the pairs among the changed events are the same kernel over a
-:class:`~repro.index.GridIndex` of the batch.  A slide touching ``k``
+Both directions are one batched :func:`~repro.index.threshold_totals`
+over the dynamic index — the cell-block pair kernel of the batch grid
+backend, fed the whole changed batch at once, counting per threshold
+without listing the pairs — and the pairs among the changed events are
+the same kernel over a :class:`~repro.index.GridIndex` of the batch.
+Leaving events leave the index in one
+:meth:`~repro.index.DynamicGridIndex.remove_many`.  A slide touching ``k``
 events costs ``O(k)`` query points instead of the batch's ``O(n)``.
 
 All maintained state is an integer pair-count vector, and the dynamic
@@ -26,7 +28,6 @@ exactly, not merely approximately.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .._validation import check_thresholds
 from ..core.kfunction import ripley_normalize
 from ..errors import ParameterError
 from ..geometry import BoundingBox
-from ..index import DynamicGridIndex, GridIndex, threshold_counts
+from ..index import DynamicGridIndex, GridIndex, threshold_totals
 from ..obs import Diagnostics
 from ..parallel import parallel_starmap
 from .window import StreamDelta
@@ -45,7 +46,7 @@ __all__ = ["StreamKSnapshot", "StreamingKFunction"]
 
 #: Query-chunk size of the parallel path.  Fixed — never derived from the
 #: worker count — and harmless to determinism anyway: chunk results are
-#: exact int64 counts, and integer addition is order-independent.
+#: exact int64 totals, and integer addition is order-independent.
 _QUERY_CHUNK = 512
 
 
@@ -104,7 +105,7 @@ class StreamingKFunction:
         self.workers = workers
         self.backend = backend
         self._index = DynamicGridIndex(bbox, rmax)
-        self._slots: deque[int] = deque()
+        self._slots = np.empty(0, dtype=np.int64)  # oldest event first
         self._counts = np.zeros(self.thresholds.shape[0], dtype=np.int64)
         self.events_applied = 0
         self.staleness = 0
@@ -123,17 +124,16 @@ class StreamingKFunction:
         """Pair counts of each query against the *current* index, summed."""
         n = queries.shape[0]
         if n <= _QUERY_CHUNK:
-            table = threshold_counts(self._index, queries, self.thresholds)
-            return table.sum(axis=0)
+            return threshold_totals(self._index, queries, self.thresholds)
         jobs = [
             (self._index, queries[c0:c0 + _QUERY_CHUNK], self.thresholds)
             for c0 in range(0, n, _QUERY_CHUNK)
         ]
         with obs.span("kfunction.queries"):
-            tables = parallel_starmap(
-                threshold_counts, jobs, workers=self.workers, backend=self.backend
+            totals = parallel_starmap(
+                threshold_totals, jobs, workers=self.workers, backend=self.backend
             )
-        return np.concatenate(tables).sum(axis=0)
+        return np.sum(totals, axis=0)
 
     def _within_counts(self, pts: np.ndarray) -> np.ndarray:
         """Unordered pair counts among ``pts`` (same arithmetic as batch).
@@ -146,7 +146,7 @@ class StreamingKFunction:
         if n < 2:
             return np.zeros(self.thresholds.shape[0], dtype=np.int64)
         grid = GridIndex.for_radius(pts, self._rmax)
-        ordered = threshold_counts(grid, pts, self.thresholds).sum(axis=0)
+        ordered = threshold_totals(grid, pts, self.thresholds)
         return (ordered - n) // 2
 
     def apply(self, delta: StreamDelta) -> "StreamingKFunction":
@@ -158,8 +158,8 @@ class StreamingKFunction:
                     f"delta removes {delta.n_left} events but only "
                     f"{len(self._slots)} are present"
                 )
-            for _ in range(delta.n_left):
-                self._index.remove(self._slots.popleft())
+            self._index.remove_many(self._slots[:delta.n_left])
+            self._slots = self._slots[delta.n_left:]
             # Every L-L pair and every L-survivor pair, each ordered pair
             # contributing 2 (the K-function counts ordered pairs).
             self._counts -= 2 * (
@@ -170,7 +170,9 @@ class StreamingKFunction:
             self._counts += 2 * (
                 self._cross_counts(entered) + self._within_counts(entered)
             )
-            self._slots.extend(self._index.insert_many(entered).tolist())
+            self._slots = np.concatenate(
+                [self._slots, self._index.insert_many(entered)]
+            )
         n_applied = delta.n_entered + delta.n_left
         self.events_applied += n_applied
         self.staleness += n_applied

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro._validation import as_points
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
 from repro.index import (
     BallTree, DynamicGridIndex, GridIndex, KDTree, counts, threshold_counts,
+    threshold_totals,
 )
 
 
@@ -236,6 +238,67 @@ class TestDynamicGridUpdates:
         assert index.insert_many(np.empty((0, 2))).tolist() == []
         assert len(index) == 2
 
+    @staticmethod
+    def _assert_same_state(a, b, queries):
+        """Same live set, free list, query results and next slots."""
+        assert len(a) == len(b)
+        assert a._free == b._free
+        np.testing.assert_array_equal(
+            threshold_counts(a, queries, [0.0, 1.0, 2.5]),
+            threshold_counts(b, queries, [0.0, 1.0, 2.5]),
+        )
+        for (_, bounds_a, ids_a, d2_a), (_, bounds_b, ids_b, d2_b) in zip(
+            a.neighbor_blocks(queries, 2.0), b.neighbor_blocks(queries, 2.0)
+        ):
+            assert bounds_a == bounds_b
+            np.testing.assert_array_equal(ids_a, ids_b)
+            np.testing.assert_array_equal(d2_a, d2_b)
+        fresh = queries[: len(a._free) + 3]
+        np.testing.assert_array_equal(a.insert_many(fresh), b.insert_many(fresh))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_remove_many_matches_one_by_one_removes(self, random_points, seed):
+        rng = np.random.default_rng(seed)
+        one, many = (DynamicGridIndex(self.BBOX, 1.0) for _ in range(2))
+        for index in (one, many):
+            index.insert_many(random_points[:60])
+        for _ in range(4):
+            live = np.flatnonzero(one._cell_of_slot[: one._top] >= 0)
+            gone = rng.permutation(live)[: rng.integers(0, 15)]
+            for slot in gone:
+                one.remove(slot)
+            many.remove_many(gone)
+            assert len(many) == len(one)
+            assert many._free == one._free
+            fresh = random_points[rng.integers(0, 400, rng.integers(0, 10))]
+            np.testing.assert_array_equal(
+                many.insert_many(fresh), one.insert_many(fresh)
+            )
+        self._assert_same_state(many, one, random_points[100:140])
+
+    def test_remove_many_takes_any_integer_sequence(self, random_points):
+        from collections import deque
+        index = DynamicGridIndex(self.BBOX, 1.0)
+        index.insert_many(random_points[:10])
+        index.remove_many(deque([4, 1]))
+        index.remove_many(np.array([7, 2], dtype=np.int32))
+        index.remove_many([])
+        assert index._free == [4, 1, 7, 2] and len(index) == 6
+
+    @pytest.mark.parametrize("batch", [
+        [3, 3], [2, 3, 2], [3, 40], [3, -1], [5, 3], [9, 5, 3, 1],
+    ], ids=["repeat", "repeat-apart", "past-top", "negative", "dead", "dead-last"])
+    def test_rejected_remove_many_changes_nothing(self, random_points, batch):
+        index, twin = (DynamicGridIndex(self.BBOX, 1.0) for _ in range(2))
+        for dyn in (index, twin):
+            dyn.insert_many(random_points[:10])
+            dyn.remove(5)
+        before = index._cells_layout()
+        with pytest.raises(ParameterError, match="slot"):
+            index.remove_many(batch)
+        assert index._cells_layout() is before  # no update happened
+        self._assert_same_state(index, twin, random_points[:30])
+
 
 def brute_table(points, queries, thresholds):
     """``#{d2 <= t * t}`` from direct coordinate differences; ``t < 0`` admits nothing."""
@@ -247,6 +310,32 @@ def brute_table(points, queries, thresholds):
     d2 = dx * dx + dy * dy
     admit = (d2[:, :, None] <= (ts * ts)[None, None, :]) & (ts >= 0.0)
     return admit.sum(axis=1).astype(np.int64)
+
+
+def legacy_threshold_counts(index, queries, thresholds) -> np.ndarray:
+    """The per-query table as ``searchsorted`` binning computed it, verbatim."""
+    q = as_points(queries, name="queries", allow_empty=True)
+    ts = np.asarray(thresholds, dtype=np.float64).ravel()
+    if ts.size == 0:
+        raise ParameterError("thresholds must contain at least one value")
+    rmax = max(float(ts.max()), 0.0)
+    t2 = np.copysign(ts * ts, ts)  # a negative threshold admits nothing
+    order = np.argsort(t2, kind="stable")
+    t2_sorted = t2[order]
+    width = ts.size + 1  # the last bin holds pairs beyond every threshold
+    bins = np.zeros((q.shape[0], width), dtype=np.int64)
+    for qi, d2 in index.neighbor_pairs(q, rmax):
+        if qi.size == 0:
+            continue
+        lo = int(qi[0])
+        hi = int(qi[-1]) + 1
+        b = np.searchsorted(t2_sorted, d2, side="left")
+        bins[lo:hi] += np.bincount(
+            (qi - lo) * width + b, minlength=(hi - lo) * width
+        ).reshape(hi - lo, width)
+    out = np.empty((q.shape[0], ts.size), dtype=np.int64)
+    out[:, order] = np.cumsum(bins[:, :-1], axis=1)
+    return out
 
 
 _coords = st.one_of(
@@ -261,19 +350,29 @@ _threshold = st.one_of(
 
 
 class TestThresholdCountsProperty:
-    """Every index's counts equal a brute-force table, at any chunk size."""
+    """Every index's counts equal a brute-force table, at any chunk size;
+    on the grids, ``threshold_totals`` equals that table summed."""
 
     BBOX = BoundingBox(0.0, 0.0, 10.0, 10.0)  # points at -3 and 12 lie outside
 
     BUDGETS = (1, 7, 4096, 1 << 16)
 
     @classmethod
-    def _tables(cls, index, queries, ts, monkeypatch):
-        tables = []
+    def _check_counts(cls, index, queries, ts, want, monkeypatch):
+        """Table, legacy table and (on a grid) totals at every budget."""
         for budget in cls.BUDGETS:
             monkeypatch.setattr(counts, "_PAIR_BUDGET", budget)
-            tables.append(threshold_counts(index, queries, ts))
-        return tables
+            table = threshold_counts(index, queries, ts)
+            assert table.dtype == np.int64
+            np.testing.assert_array_equal(table, want)
+            np.testing.assert_array_equal(
+                legacy_threshold_counts(index, queries, ts), table)
+            if isinstance(index, KDTree):
+                continue
+            totals = threshold_totals(index, queries, ts)
+            assert totals.dtype == np.int64 and totals.shape == (len(ts),)
+            np.testing.assert_array_equal(totals, want.sum(axis=0))
+            np.testing.assert_array_equal(totals, table.sum(axis=0))
 
     @classmethod
     def _check_neighbor_lists(cls, index, points, queries, radius, monkeypatch):
@@ -310,6 +409,9 @@ class TestThresholdCountsProperty:
     @example(points=[(1.0, 1.0)] * 5 + [(12.0, -3.0)],
              queries=[(1.0, 1.0), (-3.0, 12.0)], ts=[2.5, -1.0, 0.0, 30.0],
              cell=0.7)
+    @example(points=[(0.5, 0.5), (1.0, 1.0), (12.0, 12.0), (-3.0, 0.5)],
+             queries=[(0.5, 0.5), (12.0, 12.0), (-3.0, -3.0)],
+             ts=[30.0, 0.5, -0.0, 0.5, -1.0, 2.5], cell=3.0)
     def test_matches_brute_force(self, points, queries, ts, cell):
         want = brute_table(points, queries, ts)
         pts = np.array(points)
@@ -321,9 +423,7 @@ class TestThresholdCountsProperty:
         indexes = (GridIndex(pts, cell, bbox=self.BBOX), KDTree(pts), dyn)
         with pytest.MonkeyPatch.context() as mp:
             for index in indexes:
-                for table in self._tables(index, q, ts, mp):
-                    assert table.dtype == np.int64
-                    np.testing.assert_array_equal(table, want)
+                self._check_counts(index, q, ts, want, mp)
             # Fresh dynamic slots are 0..n-1, the static point indices.
             for index in indexes[::2]:
                 self._check_neighbor_lists(index, pts, q, max(max(ts), 0.0), mp)
@@ -334,12 +434,15 @@ class TestThresholdCountsProperty:
         table = threshold_counts(empty, random_points[:5], ts)
         np.testing.assert_array_equal(table, np.zeros((5, 3), dtype=np.int64))
         slots = empty.insert_many(random_points[:3])
-        for slot in slots:
-            empty.remove(slot)
+        empty.remove_many(slots)
         assert threshold_counts(empty, random_points[:5], ts).sum() == 0
+        assert threshold_totals(empty, random_points[:5], ts).tolist() == [0, 0, 0]
         for index in (GridIndex(random_points, 1.0), KDTree(random_points), empty):
             table = threshold_counts(index, np.empty((0, 2)), ts)
             assert table.shape == (0, 3) and table.dtype == np.int64
+            if not isinstance(index, KDTree):
+                totals = threshold_totals(index, np.empty((0, 2)), ts)
+                assert totals.tolist() == [0, 0, 0] and totals.dtype == np.int64
 
     def test_chunks_split_mid_query_and_mid_column(self, monkeypatch):
         # One cell column holds all 50 points: budgets of 1 and 7 cut it.
@@ -347,5 +450,10 @@ class TestThresholdCountsProperty:
         index = GridIndex(pts, 1.0, bbox=self.BBOX)
         ts = [0.0, 0.25, 3.0, 9.0]
         want = brute_table(pts, pts[::7], ts)
-        for table in self._tables(index, pts[::7], ts, monkeypatch):
-            np.testing.assert_array_equal(table, want)
+        self._check_counts(index, pts[::7], ts, want, monkeypatch)
+
+    def test_totals_need_a_grid_and_a_threshold(self, random_points):
+        with pytest.raises(ParameterError, match="GridIndex"):
+            threshold_totals(KDTree(random_points), random_points[:3], [1.0])
+        with pytest.raises(ParameterError, match="thresholds"):
+            threshold_totals(GridIndex(random_points, 1.0), random_points[:3], [])
