@@ -175,7 +175,8 @@ class PatchScatter:
         )
         return ix_lo, ix_hi, iy_lo, iy_hi
 
-    def scatter(self, values: np.ndarray, points, weights=None) -> tuple[int, int]:
+    def scatter(self, values: np.ndarray, points, weights=None,
+                clip=None) -> tuple[int, int]:
         """Accumulate every point's kernel patch into ``values``.
 
         Parameters
@@ -194,12 +195,20 @@ class PatchScatter:
             factors.  Signed values are allowed (removal = negated
             insertion); non-finite ones raise
             :class:`~repro.errors.DataError`, as do non-finite points.
+        clip:
+            ``None`` (the whole raster) or half-open pixel bounds ``(x0,
+            x1, y0, y1)``: each window is cut to them and points whose
+            cut window is empty are skipped.  Every pixel inside the clip
+            sums the same contributions in the same order as without it
+            (float32 buckets are keyed by the uncut windows), so it ends
+            bit-identical to the unclipped scatter; pixels outside it are
+            not touched.
 
         Returns
         -------
         ``(n_scattered, patch_pixels)`` — points with a non-empty patch
-        and total pixels written (the historical ``kdv.scatters`` /
-        ``kdv.patch_pixels`` counters).
+        (inside the clip) and total pixels written (the historical
+        ``kdv.scatters`` / ``kdv.patch_pixels`` counters).
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or (pts.size and pts.shape[1] != 2):
@@ -222,10 +231,21 @@ class PatchScatter:
                 )
             if not np.isfinite(w).all():
                 raise DataError("weights contain non-finite entries")
-        if pts.shape[0] == 0:
+        x0, x1, y0, y1 = self._clip_bounds(clip)
+        if pts.shape[0] == 0 or x0 >= x1 or y0 >= y1:
             return 0, 0
 
         ix_lo, ix_hi, iy_lo, iy_hi = self.windows(pts)
+        # float32 bucket keys come from the uncut windows, so a clip keeps
+        # the surviving points in the order the whole-raster sort gives.
+        if self.table is not None:
+            key_x = ix_lo // _BUCKET_TILE
+            key_y = iy_lo // _BUCKET_TILE
+        if clip is not None:
+            ix_lo = np.maximum(ix_lo, x0)
+            ix_hi = np.minimum(ix_hi, x1 - 1)
+            iy_lo = np.maximum(iy_lo, y0)
+            iy_hi = np.minimum(iy_hi, y1 - 1)
         live = np.flatnonzero((ix_lo <= ix_hi) & (iy_lo <= iy_hi))
         if live.size == 0:
             return 0, 0
@@ -237,8 +257,8 @@ class PatchScatter:
             # tile.  lexsort is stable, so within a bucket the input
             # order survives — the accumulation order is a pure function
             # of the event set, never of workers or machine.
-            tx = ix_lo[live] // _BUCKET_TILE
-            ty = iy_lo[live] // _BUCKET_TILE
+            tx = key_x[live]
+            ty = key_y[live]
             order = np.lexsort((tx, ty))
             live = live[order]
             key = ty[order] * ((self.nx // _BUCKET_TILE) + 1) + tx[order]
@@ -261,9 +281,9 @@ class PatchScatter:
         for c0 in range(0, live.size, batch):
             rows = live[c0:c0 + batch]
             # Pad every window to the batch's largest, clipped to the
-            # raster; entries past a point's own window are blanked below.
-            cx = np.minimum(ix_lo[rows][:, None] + offs_x[None, :], self.nx - 1)
-            cy = np.minimum(iy_lo[rows][:, None] + offs_y[None, :], self.ny - 1)
+            # clip; entries past a point's own window are blanked below.
+            cx = np.minimum(ix_lo[rows][:, None] + offs_x[None, :], x1 - 1)
+            cy = np.minimum(iy_lo[rows][:, None] + offs_y[None, :], y1 - 1)
             lx = self._xs[cx] - pts[rows, 0][:, None]
             ly = self._ys[cy] - pts[rows, 1][:, None]
             d2 = (lx ** 2)[:, :, None] + (ly ** 2)[:, None, :]
@@ -308,6 +328,18 @@ class PatchScatter:
             obs.count("scatter.buckets", buckets)
             obs.count("scatter.patch_pixels", patch_pixels)
         return int(live.size), patch_pixels
+
+    def _clip_bounds(self, clip) -> tuple[int, int, int, int]:
+        """``clip`` as validated half-open pixel bounds (whole raster: None)."""
+        if clip is None:
+            return 0, self.nx, 0, self.ny
+        x0, x1, y0, y1 = (int(v) for v in clip)
+        if not (0 <= x0 <= x1 <= self.nx and 0 <= y0 <= y1 <= self.ny):
+            raise ParameterError(
+                f"clip must lie within (0, {self.nx}, 0, {self.ny}), "
+                f"got {tuple(clip)}"
+            )
+        return x0, x1, y0, y1
 
 
 def _blank_padding(block: np.ndarray, widths: np.ndarray,

@@ -12,7 +12,9 @@ rebuilding.
 
 Queries go through the batched cell-block kernel,
 :class:`~repro.index.counts.CellLayout`, over the live slots sorted by
-cell id (one ``argsort``, cached until the next insert or remove), with
+cell id, ties by slot.  The layout is cached; after updates the next
+query drops the slots that changed from it and merges the live ones back
+in, instead of sorting every live slot again.  It uses
 the same :class:`~repro.index.counts.CellQueries` as ``GridIndex``: ids
 are slots.  Its squared distances are ``(x - cx)**2 + (y - cy)**2``
 filtered with ``d2 <= r*r``, as in ``GridIndex``, so a query against a
@@ -79,7 +81,11 @@ class DynamicGridIndex(CellQueries):
         self._free: list[int] = []
         self._top = 0
         self._n = 0
-        self._layout: CellLayout | None = None
+        # The last layout built and the slot batches inserted or removed
+        # since, as one tuple so a reader sees the two together.
+        self._layout: tuple[CellLayout | None, tuple[np.ndarray, ...]] = (
+            None, ()
+        )
 
     def __len__(self) -> int:
         return self._n
@@ -100,21 +106,75 @@ class DynamicGridIndex(CellQueries):
             setattr(self, name, fresh)
 
     def _cells_layout(self) -> CellLayout:
-        """The live slots sorted by cell id (cached until the next update).
+        """The live slots sorted by cell id, ties by slot (cached).
 
+        The first call sorts every live slot.  After updates, the slots
+        they touched leave the cached order and those still live are
+        merged back in, which yields the arrays a full sort would.
         Concurrent readers may each build it once: the layouts are equal,
         and one is stored only when complete.
         """
-        if self._layout is None:
+        layout, changed = self._layout
+        if layout is not None and not changed:
+            return layout
+        if layout is None:
             cells = self._cell_of_slot[: self._top]
             live = np.flatnonzero(cells >= 0)
             slots = live[np.argsort(cells[live], kind="stable")]
-            self._layout = CellLayout(
-                cells[slots], slots, self._xs[slots], self._ys[slots],
-                self.bbox.xmin, self.bbox.ymin, self.cell_w, self.cell_h,
-                self.nx, self.ny,
-            )
-        return self._layout
+            arrays = (cells[slots], slots, self._xs[slots], self._ys[slots])
+        else:
+            arrays = self._merged(layout, np.concatenate(changed))
+        layout = CellLayout(
+            *arrays, self.bbox.xmin, self.bbox.ymin, self.cell_w, self.cell_h,
+            self.nx, self.ny,
+        )
+        self._layout = (layout, ())
+        return layout
+
+    def _merged(self, layout: CellLayout, changed: np.ndarray):
+        """``layout`` without the ``changed`` slots, their live ones merged in.
+
+        Returns ``(cells, ids, xs, ys)`` in ``(cell, slot)`` order.  A slot
+        entering cell ``c`` goes after every kept position of a smaller
+        cell and of a smaller slot in ``c``: with ``first`` the index of a
+        kept cell's first position, kept keys ``(2 * first + 1, slot)`` and
+        entering keys ``(2 * lo + [c is kept], slot)`` (``lo`` = where
+        ``c`` sorts among the kept cells) order exactly that way, and fit
+        one int64 as ``rank * top + slot``.
+        """
+        gone = np.zeros(self._top, dtype=bool)
+        gone[changed] = True
+        keep = ~gone[layout.ids]
+        cells, ids = layout.cells[keep], layout.ids[keep]
+        xs, ys = layout.xs[keep], layout.ys[keep]
+        enter = np.flatnonzero(gone & (self._cell_of_slot[: self._top] >= 0))
+        if enter.size == 0:
+            return cells, ids, xs, ys
+        enter_cells = self._cell_of_slot[enter]
+        order = np.argsort(enter_cells, kind="stable")  # ``enter`` is sorted
+        enter, enter_cells = enter[order], enter_cells[order]
+        top = np.int64(self._top)
+        n = cells.shape[0]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = cells[1:] != cells[:-1]
+        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+        lo = np.searchsorted(cells, enter_cells)
+        same = cells[np.minimum(lo, n - 1)] == enter_cells if n else False
+        at = np.searchsorted(
+            (2 * first + 1) * top + ids, (2 * lo + same) * top + enter
+        )
+        # ``at`` never decreases along the entering order.
+        dest = at + np.arange(enter.shape[0])
+        kept = np.ones(n + enter.shape[0], dtype=bool)
+        kept[dest] = False
+        out = []
+        for old, new in ((cells, enter_cells), (ids, enter),
+                         (xs, self._xs[enter]), (ys, self._ys[enter])):
+            merged = np.empty(kept.shape[0], dtype=old.dtype)
+            merged[kept] = old
+            merged[dest] = new
+            out.append(merged)
+        return tuple(out)
 
     # -- updates -------------------------------------------------------------
 
@@ -140,7 +200,7 @@ class DynamicGridIndex(CellQueries):
             + lattice_axis(pts[:, 1], self.bbox.ymin, self.cell_h, self.ny)
         )
         self._n += k
-        self._layout = None
+        self._touch(slots)
         return slots
 
     def insert(self, x: float, y: float) -> int:
@@ -170,7 +230,22 @@ class DynamicGridIndex(CellQueries):
         self._cell_of_slot[s] = -1
         self._free.extend(s.tolist())
         self._n -= s.size
-        self._layout = None
+        self._touch(s)
+
+    def _touch(self, slots: np.ndarray) -> None:
+        """Record updated slots for the next layout merge.
+
+        Once more slots have changed than the cached layout holds, the
+        layout is dropped: sorting from scratch costs no more then.
+        """
+        layout, changed = self._layout
+        if layout is None or slots.size == 0:
+            return
+        changed += (slots.copy(),)
+        if sum(c.size for c in changed) > layout.ids.shape[0]:
+            self._layout = (None, ())
+        else:
+            self._layout = (layout, changed)
 
     def remove(self, slot: int) -> None:
         """Remove the point occupying ``slot`` (as returned by insert)."""

@@ -278,19 +278,28 @@ class AnalyticsService:
     def _compute_tile(self, dataset, zoom: int, tx: int, ty: int,
                       bandwidth: float, kernel: str, dtype: str
                       ) -> TileResult:
-        """Cold path: sync the maintained surface, slice the tile out."""
-        with obs.enabled():
-            surface = self._surface(dataset, zoom, bandwidth, kernel, dtype)
-            dirty = surface.sync(dataset)
-            # A sync here means ingests landed since the surface was last
-            # read; those tiles' cached entries are stale — evict them.
-            for dtx, dty in dirty:
-                self.tile_cache.invalidate(
-                    key=("tile", dataset.identity, zoom, dtx, dty, bandwidth,
-                         kernel, dtype)
-                )
-            bbox = surface.tile_bbox(tx, ty)
-            values = surface.tile_values(tx, ty)
+        """Cold path: sync the maintained surface, slice the tile out.
+
+        A tile read for the first time is rendered here; each render
+        counts in ``surfaces.tiles_rendered`` and its time lands in the
+        ``tile.render`` latency ring.
+        """
+        surface = self._surface(dataset, zoom, bandwidth, kernel, dtype)
+        dirty = surface.sync(dataset)
+        # A sync here means ingests landed since the surface was last
+        # read; those tiles' cached entries are stale — evict them.
+        for dtx, dty in dirty:
+            self.tile_cache.invalidate(
+                key=("tile", dataset.identity, zoom, dtx, dty, bandwidth,
+                     kernel, dtype)
+            )
+        bbox = surface.tile_bbox(tx, ty)
+        with obs.Stopwatch() as sw:
+            rendered = surface.render(tx, ty)
+        if rendered:
+            self.stats.incr("surfaces.tiles_rendered")
+            self.stats.observe_latency("tile.render", sw.seconds)
+        values = surface.tile_values(tx, ty)
         return TileResult(
             dataset=dataset.name, version=dataset.version, zoom=zoom,
             tx=tx, ty=ty, bandwidth=bandwidth, kernel=kernel,

@@ -299,6 +299,40 @@ class TestDynamicGridUpdates:
         assert index._cells_layout() is before  # no update happened
         self._assert_same_state(index, twin, random_points[:30])
 
+    @staticmethod
+    def _sorted_from_scratch(index):
+        """The live slots by (cell, slot): one stable sort of every slot."""
+        cells = index._cell_of_slot[: index._top]
+        live = np.flatnonzero(cells >= 0)
+        slots = live[np.argsort(cells[live], kind="stable")]
+        return cells[slots], slots, index._xs[slots], index._ys[slots]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_merged_layout_equals_a_full_sort(self, seed):
+        """Cached layout + merged updates == sorting every live slot again."""
+        rng = np.random.default_rng(seed)
+        index = DynamicGridIndex(self.BBOX, float(rng.choice([0.4, 1.0, 4.0])))
+        live = []
+        for step in range(40):
+            if not live or rng.random() < 0.5:
+                pts = rng.uniform(-2.0, 12.0, (int(rng.integers(0, 30)), 2))
+                if pts.shape[0] and rng.random() < 0.3:
+                    pts[: pts.shape[0] // 2] = pts[0]  # coincident points
+                live.extend(index.insert_many(pts).tolist())
+            else:
+                gone = rng.permutation(live)[: rng.integers(0, len(live) + 1)]
+                index.remove_many(gone)
+                live = [slot for slot in live if slot not in set(gone.tolist())]
+            if rng.random() < 0.6:
+                layout = index._cells_layout()
+                want = self._sorted_from_scratch(index)
+                for got, ref in zip(
+                    (layout.cells, layout.ids, layout.xs, layout.ys), want
+                ):
+                    assert got.dtype == ref.dtype
+                    np.testing.assert_array_equal(got, ref)
+        assert sorted(live) == sorted(index._cells_layout().ids.tolist())
+
 
 def brute_table(points, queries, thresholds):
     """``#{d2 <= t * t}`` from direct coordinate differences; ``t < 0`` admits nothing."""

@@ -507,6 +507,86 @@ class TestDtypePlumbing:
                   method="window", spatial_method="sweep", dtype="float32")
 
 
+class TestClip:
+    """``scatter(clip=...)`` writes the clip's pixels as the full scatter does.
+
+    Inside the clip every pixel is bit-identical to an unclipped scatter
+    onto the same starting values; outside it nothing changes, not even
+    the sign of a zero.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kernel_name=st.sampled_from(sorted(KERNELS)),
+        bandwidth=st.floats(min_value=0.05, max_value=4.0),
+        n=st.integers(min_value=0, max_value=60),
+        nx=st.integers(min_value=1, max_value=150),
+        ny=st.integers(min_value=1, max_value=150),
+        weighting=st.sampled_from(["unweighted", "signed", "multi"]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        corners=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_clipped_pixels_equal_full_scatter(
+        self, seed, kernel_name, bandwidth, n, nx, ny, weighting, dtype,
+        corners,
+    ):
+        rng = np.random.default_rng(seed)
+        pts = random_points(rng, n)
+        n_surfaces = 3 if weighting == "multi" else 1
+        weights = {
+            "unweighted": None,
+            "signed": rng.uniform(-3.0, 3.0, n),
+            "multi": rng.uniform(-3.0, 3.0, (n, n_surfaces)),
+        }[weighting]
+        a, b, c, d = corners
+        x0, x1 = sorted((int(a * nx), int(b * nx)))
+        y0, y1 = sorted((int(c * ny), int(d * ny)))
+        sc = PatchScatter(BBOX, (nx, ny), bandwidth, kernel=kernel_name,
+                          dtype=dtype)
+        start = rng.uniform(-1.0, 1.0, (n_surfaces, nx, ny)).astype(dtype)
+        start[:, ::3] = -0.0  # zeros of either sign must survive untouched
+        start[:, 1::3] = 0.0
+        full = start.copy()
+        sc.scatter(full, pts, weights)
+        clipped = start.copy()
+        sc.scatter(clipped, pts, weights, clip=(x0, x1, y0, y1))
+        inside = np.zeros((nx, ny), dtype=bool)
+        inside[x0:x1, y0:y1] = True
+        for s in range(n_surfaces):
+            assert clipped[s][inside].tobytes() == full[s][inside].tobytes()
+            assert clipped[s][~inside].tobytes() == start[s][~inside].tobytes()
+
+    def test_float32_bucket_order_survives_the_clip(self):
+        """Points from several buckets sum in the unclipped bucket order."""
+        rng = np.random.default_rng(4)
+        size = (300, 260)   # several 64-pixel buckets on each axis
+        pts = random_points(rng, 3000, spread=0.0)
+        sc = PatchScatter(BBOX, size, 0.9, dtype="float32")
+        full = np.zeros(size, dtype=np.float32)
+        sc.scatter(full, pts)
+        for clip in [(60, 70, 0, 260), (0, 300, 120, 140), (63, 129, 64, 65)]:
+            x0, x1, y0, y1 = clip
+            part = np.zeros(size, dtype=np.float32)
+            scattered, _ = sc.scatter(part, pts, clip=clip)
+            assert scattered > 0
+            assert part[x0:x1, y0:y1].tobytes() == full[x0:x1, y0:y1].tobytes()
+            part[x0:x1, y0:y1] = 0.0
+            assert not part.any()
+
+    def test_rejects_clip_outside_the_raster(self):
+        sc = PatchScatter(BBOX, (8, 8), 1.0)
+        for clip in [(0, 9, 0, 8), (-1, 4, 0, 8), (5, 4, 0, 8), (0, 8, 3, 2)]:
+            with pytest.raises(ParameterError, match="clip"):
+                sc.scatter(np.zeros((8, 8)), np.array([[1.0, 1.0]]), clip=clip)
+
+    def test_empty_clip_scatters_nothing(self):
+        sc = PatchScatter(BBOX, (8, 8), 1.0)
+        values = np.zeros((8, 8))
+        assert sc.scatter(values, np.array([[5.0, 4.0]]), clip=(3, 3, 0, 8)) == (0, 0)
+        assert not values.any()
+
+
 class TestPatchScatterValidation:
     def test_rejects_bad_points_shape(self):
         sc = PatchScatter(BBOX, (8, 8), 1.0)
