@@ -273,10 +273,7 @@ class MultiSurfaceAccumulator:
         For delta-cost inspection of the maintained bank — the streaming
         KDV's dirty-tile compare reads candidate tile regions through this
         without copying the whole surface per refresh.  Callers must not
-        write through it, except to rebuild a region from scratch through
-        :attr:`scatterer` (a lazily rendered serving tile zeroes its
-        pixels and re-scatters them); otherwise mutate via the scatter
-        methods only.
+        write through it; mutate via the scatter methods only.
         """
         s = int(s)
         if not (0 <= s < self.n_surfaces):

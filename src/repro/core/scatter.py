@@ -175,6 +175,34 @@ class PatchScatter:
         )
         return ix_lo, ix_hi, iy_lo, iy_hi
 
+    def window_tiles(self, points: np.ndarray,
+                     tile: int) -> list[tuple[int, int]]:
+        """Sorted ``(tx, ty)`` of the ``tile``-pixel tiles the windows meet.
+
+        One vectorised pass per tile offset a window can span (a handful),
+        not per point, and no lattice-sized array: the cost follows the
+        points, not the tile count.
+        """
+        if points.shape[0] == 0:
+            return []
+        ix_lo, ix_hi, iy_lo, iy_hi = self.windows(points)
+        live = (ix_lo <= ix_hi) & (iy_lo <= iy_hi)  # window meets the raster
+        if not live.any():
+            return []
+        tiles_ny = -(-self.ny // tile)
+        tx_lo, tx_hi = ix_lo[live] // tile, ix_hi[live] // tile
+        ty_lo, ty_hi = iy_lo[live] // tile, iy_hi[live] // tile
+        ids = []
+        for ox in range(int((tx_hi - tx_lo).max()) + 1):
+            tx = tx_lo + ox
+            in_x = tx <= tx_hi
+            for oy in range(int((ty_hi - ty_lo).max()) + 1):
+                ty = ty_lo + oy
+                hit = in_x & (ty <= ty_hi)
+                ids.append(tx[hit] * tiles_ny + ty[hit])
+        ids = np.unique(np.concatenate(ids)).tolist()
+        return [divmod(i, tiles_ny) for i in ids]
+
     def scatter(self, values: np.ndarray, points, weights=None,
                 clip=None) -> tuple[int, int]:
         """Accumulate every point's kernel patch into ``values``.
@@ -183,9 +211,11 @@ class PatchScatter:
         ----------
         values:
             ``(nx, ny)`` or ``(S, nx, ny)`` accumulation target of this
-            scatterer's dtype.  A strided view with no flat view of its
-            own (e.g. every other row of a bank) is accumulated through
-            a contiguous copy written back whole.
+            scatterer's dtype; with a ``clip`` it covers exactly the clip
+            rectangle, ``(x1 - x0, y1 - y0)`` or ``(S, x1 - x0, y1 - y0)``.
+            A strided view with no flat view of its own (e.g. every other
+            row of a bank) is accumulated through a contiguous copy
+            written back whole.
         points:
             ``(n, 2)`` finite event locations (may lie outside the window;
             points whose patch misses the grid contribute nothing).
@@ -197,12 +227,12 @@ class PatchScatter:
             :class:`~repro.errors.DataError`, as do non-finite points.
         clip:
             ``None`` (the whole raster) or half-open pixel bounds ``(x0,
-            x1, y0, y1)``: each window is cut to them and points whose
-            cut window is empty are skipped.  Every pixel inside the clip
-            sums the same contributions in the same order as without it
+            x1, y0, y1)`` of the raster region ``values`` stands for:
+            each window is cut to them and points whose cut window is
+            empty are skipped.  Every pixel sums the same contributions
+            in the same order as the same pixel of an unclipped scatter
             (float32 buckets are keyed by the uncut windows), so it ends
-            bit-identical to the unclipped scatter; pixels outside it are
-            not touched.
+            bit-identical to it.
 
         Returns
         -------
@@ -213,10 +243,12 @@ class PatchScatter:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or (pts.size and pts.shape[1] != 2):
             raise ParameterError(f"points must be (n, 2), got {pts.shape}")
+        x0, x1, y0, y1 = self._clip_bounds(clip)
         vals = values if values.ndim == 3 else values[None]
-        if vals.shape[1:] != (self.nx, self.ny):
+        if vals.shape[1:] != (x1 - x0, y1 - y0):
             raise ParameterError(
-                f"values must be (..., {self.nx}, {self.ny}), got {values.shape}"
+                f"values must be (..., {x1 - x0}, {y1 - y0}), "
+                f"got {values.shape}"
             )
         n_surfaces = vals.shape[0]
         w = None
@@ -231,7 +263,6 @@ class PatchScatter:
                 )
             if not np.isfinite(w).all():
                 raise DataError("weights contain non-finite entries")
-        x0, x1, y0, y1 = self._clip_bounds(clip)
         if pts.shape[0] == 0 or x0 >= x1 or y0 >= y1:
             return 0, 0
 
@@ -303,8 +334,13 @@ class PatchScatter:
             # point in ``live`` order, each window row by row.
             # ``np.add.at`` is unbuffered and applies them in that order,
             # so every pixel sums its contributions in the per-point
-            # loop's order.
-            pix = ((cx * self.ny)[:, :, None] + cy[:, None, :]).reshape(-1)
+            # loop's order.  The clip offsets go in place: a small
+            # temporary here splits the heap chunk ``d2`` freed, and the
+            # large ``pix`` then lands on fresh pages.
+            cx -= x0
+            cx *= y1 - y0
+            cy -= y0
+            pix = (cx[:, :, None] + cy[:, None, :]).reshape(-1)
             w_b = widths[c0:c0 + batch]
             h_b = heights[c0:c0 + batch]
             if w is None:

@@ -7,10 +7,10 @@ that layer over the library's tools:
 
 * :class:`AnalyticsService` — the transport-free core: datasets
   (:class:`DatasetStore`), an LRU tile-pyramid cache invalidated
-  tile-exactly by the streaming dirty-tile ledger, a query-result cache
-  keyed by dataset content, request coalescing (identical concurrent
-  queries execute once), bounded admission, and per-request traces
-  feeding a ``/stats`` snapshot.
+  tile-exactly by the maintained surfaces' sync reports, a
+  query-result cache keyed by dataset content, request coalescing
+  (identical concurrent queries execute once), bounded admission, and
+  per-request traces feeding a ``/stats`` snapshot.
 * :func:`create_server` — an :mod:`http.server` front-end exposing
   tiles, queries, ingest and stats over JSON (plus PPM tiles for eyes).
 * ``repro serve`` — the CLI entry point that boots the above.

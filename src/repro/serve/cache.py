@@ -26,8 +26,8 @@ class LRUCache:
 
     ``get`` refreshes recency; ``put`` evicts the stalest entry once
     ``capacity`` is exceeded.  :meth:`invalidate` supports both exact-key
-    removal and predicate sweeps — the hook the streaming dirty-tile
-    ledger drives (evict exactly the tiles that changed, keep the rest).
+    removal and predicate sweeps — the hook ingest invalidation drives
+    (evict exactly the tiles that changed, keep the rest).
     """
 
     def __init__(self, capacity: int):

@@ -6,8 +6,8 @@ methods, and the test suite exercises them directly (no sockets needed):
 
 * :meth:`tile` — cached KDV pyramid tiles.  Cache keys carry the dataset
   *identity* (stable across ingests), so invalidation is driven by the
-  streaming dirty-tile ledger: an ingest evicts exactly the tiles whose
-  pixels changed and leaves the rest of the pyramid warm.
+  maintained surfaces' sync reports: an ingest evicts exactly the tiles
+  whose pixels changed and leaves the rest of the pyramid warm.
 * :meth:`query` — full analytics through the unified
   :func:`~repro.core.request.execute_request` path.  Result-cache keys
   carry the dataset *content fingerprint*, so an ingest implicitly

@@ -1,29 +1,20 @@
-"""Streaming-maintained KDV surfaces aligned to the serving tile lattice.
+"""Maintained KDV surfaces stored as the serving tiles they rendered.
 
-A :class:`MaintainedSurface` **is** a :class:`repro.stream.StreamingKDV`
-whose raster is ``tile_px * 2**zoom`` pixels square with a dirty-tile
-ledger of exactly ``tile_px``-pixel tiles — so the ledger lattice is the
-serving tile lattice, and "tile ``(tx, ty)`` is dirty" translates
-one-for-one into "evict cache key ``(tx, ty)``".  That alignment is the
-whole trick behind streaming-driven invalidation: an ingest batch
-touches the kernel patches of its new events only, the ledger compares
-those candidate tiles pixel-for-pixel, and the service evicts exactly
-the tiles that changed while the rest of the cached pyramid stays warm.
+A :class:`MaintainedSurface` is one dataset's KDV pyramid level: a
+``tile_px * 2**zoom`` square raster cut into the serving lattice of
+``tile_px``-pixel tiles.  It stores only the tiles it has rendered, so
+its memory is bounded by the tiles read, never by the zoom level.
 
-Surfaces are additions-only consumers (the serving dataset is
-append-only), so the accumulator's insert/remove drift never grows and
-the re-scatter escape hatch stays dormant; ``rescatter_ratio=None``
-makes that explicit.
-
-A surface starts with no tile rendered.  Each tile is rendered the first
-time it is read: its pixels are zeroed and the synced dataset prefix is
-scattered clipped to the tile (:meth:`~repro.core.scatter.PatchScatter.
-scatter`'s ``clip``), so a cold tile costs one tile, not its zoom level.
-Only rendered ("ready") tiles are compared and reported by :meth:`sync`.
-A ready tile is bit-identical to the same tile of a surface that had
-scattered every sync eagerly: each pixel adds the dataset's points in
-order from +0.0, and the render replays the syncs' batches, because a
-float32 scatter orders each batch by bucket.
+Every write scatters a point batch onto one stored tile, clipped to it
+(:meth:`~repro.core.scatter.PatchScatter.scatter`'s ``clip``).  A tile
+is rendered on its first read by replaying the synced batches onto a
+zero tile.  A sync scatters a new batch onto the rendered ("ready")
+tiles its kernel windows reach and reports those whose pixels changed:
+exactly the cache keys the service must evict.  A ready tile is
+bit-identical to the same tile of a surface that scattered every sync
+eagerly onto the whole raster: each pixel adds the dataset's points in
+order from +0.0, batch by batch, because a float32 scatter orders each
+batch by bucket.
 """
 
 from __future__ import annotations
@@ -32,18 +23,16 @@ import threading
 
 import numpy as np
 
+from ..core.scatter import PatchScatter
 from ..errors import ParameterError, ServeError
 from ..geometry import BoundingBox
-from ..stream import StreamDelta, StreamingKDV
+from ..raster import DensityGrid
 
 __all__ = ["MaintainedSurface"]
 
-_EMPTY_POINTS = np.empty((0, 2), dtype=np.float64)
-_EMPTY_TIMES = np.empty(0, dtype=np.float64)
 
-
-class MaintainedSurface(StreamingKDV):
-    """One dataset's KDV pyramid level, kept current by ingest deltas.
+class MaintainedSurface:
+    """One dataset's KDV pyramid level, kept current by ingest syncs.
 
     Parameters
     ----------
@@ -57,7 +46,7 @@ class MaintainedSurface(StreamingKDV):
         KDV parameters, fixed for the surface's lifetime — the service
         keys surfaces by them.
     tile_px:
-        Tile side in pixels; it is the dirty-tile ledger's ``tile``.
+        Tile side in pixels.
     """
 
     def __init__(self, dataset, zoom: int, bandwidth: float,
@@ -68,19 +57,19 @@ class MaintainedSurface(StreamingKDV):
         tile_px = int(tile_px)
         if tile_px < 1:
             raise ParameterError(f"tile_px must be positive, got {tile_px}")
-        npx = tile_px * (2 ** zoom)
-        super().__init__(
-            dataset.bbox, (npx, npx), bandwidth, kernel=kernel,
-            tile=tile_px, rescatter_ratio=None,
+        self.zoom = zoom
+        self.tile_px = tile_px
+        self.side = 2 ** zoom
+        self.nx = self.ny = tile_px * self.side
+        self.bbox = dataset.bbox
+        self._scatterer = PatchScatter(
+            self.bbox, (self.nx, self.ny), bandwidth, kernel=kernel,
             dtype=np.float64 if dtype is None else dtype,
         )
-        self.zoom = zoom
         self._dataset = dataset
         self._lock = threading.Lock()
         self._version = -1   # dataset version last synced (-1 = never)
-        self._ready = np.zeros(
-            (self.ledger.tiles_nx, self.ledger.tiles_ny), dtype=bool
-        )
+        self._tiles: dict[tuple[int, int], np.ndarray] = {}
         # The synced dataset prefix length after each sync that added
         # points: the batch boundaries a render replays.
         self._synced = [0]
@@ -93,98 +82,88 @@ class MaintainedSurface(StreamingKDV):
     @property
     def tiles_ready(self) -> int:
         """Number of tiles rendered so far."""
-        return int(np.count_nonzero(self._ready))
+        return len(self._tiles)
+
+    def _scatter(self, tile: np.ndarray, t, pts: np.ndarray) -> None:
+        """Add ``pts``'s kernel patches to tile ``t``, clipped to it."""
+        # Unweighted: ``1.0 * x`` is ``x``, and a float32 sum taken in
+        # float64 then rounded is the float32 sum, so a tile matches a
+        # unit-weight whole-raster scatter bit for bit.
+        self._scatterer.scatter(tile, pts, clip=self.tile_bounds_px(*t))
 
     def sync(self, dataset) -> tuple[tuple[int, int], ...]:
         """Take in any dataset points this surface has not seen yet.
 
-        The new points are scattered onto the surface and the ready tiles
-        they may touch are compared pixel for pixel.  Returns the ready
-        ``(tx, ty)`` tiles whose pixels actually changed (read through the
-        ledger's public :meth:`~repro.stream.DirtyTileLedger.dirty_tiles`
-        accessor, then cleared) — exactly the cache entries the service
+        The new points are scattered onto the ready tiles their kernel
+        windows reach.  Returns the sorted ``(tx, ty)`` of those whose
+        pixels actually changed — exactly the cache entries the service
         must evict; a tile never rendered was never served.  Returns
         ``()`` when already current, which is the hot no-op path of every
-        cached tile request.  A surface with no ready tile scatters
-        nothing: each first read renders from the prefix.
+        cached tile request.
         """
         with self._lock:
             if dataset.version == self._version:
                 return ()
             # Append-only: the points on the surface are a dataset prefix.
             start = self.n_points
-            new_pts, new_ts = dataset.points_since(start)
+            new_pts, _ = dataset.points_since(start)
             self._version = dataset.version
             if new_pts.shape[0] == 0:
                 return ()
             self._synced.append(start + new_pts.shape[0])
-            if not self._ready.any():
+            if not self._tiles:
                 return ()
-            self.apply(StreamDelta(
-                entered_points=np.asarray(new_pts, dtype=np.float64),
-                entered_times=np.asarray(new_ts, dtype=np.float64),
-                left_points=_EMPTY_POINTS,
-                left_times=_EMPTY_TIMES,
-                window=dataset,
-            ))
-            dirty = self.ledger.dirty_tiles()
-            self.ledger.clear_dirty()
-            return dirty
-
-    def _candidate_tiles(self, pts: np.ndarray) -> list[tuple[int, int]]:
-        """The ready tiles ``pts``'s kernel patches may touch."""
-        return [
-            t for t in super()._candidate_tiles(pts) if self._ready[t]
-        ]
+            dirty = []
+            for t in self._scatterer.window_tiles(new_pts, self.tile_px):
+                tile = self._tiles.get(t)
+                if tile is None:
+                    continue
+                before = tile.copy()
+                self._scatter(tile, t, new_pts)
+                if not np.array_equal(tile, before):
+                    dirty.append(t)
+            return tuple(dirty)
 
     def render(self, tx: int, ty: int) -> bool:
         """Render tile ``(tx, ty)`` unless it is ready; True if it rendered.
 
-        Zeroes the tile's pixels and scatters the synced prefix onto it,
-        one scatter per sync batch, clipped to the tile.  Candidate
-        points come from one bounding-box test padded by the kernel's
-        reach; the clipped windows make the exact cut.
+        Scatters the synced prefix onto a zero tile, one scatter per sync
+        batch.  Candidate points come from one bounding-box test padded
+        by the kernel's reach; the clipped windows make the exact cut.
         """
         self.tile_bounds_px(tx, ty)   # a bad address is a 404
         with self._lock:
-            return self._render(tx, ty)
+            return self._render((tx, ty))
 
-    def _render(self, tx: int, ty: int) -> bool:
-        if self._ready[tx, ty]:
+    def _render(self, t) -> bool:
+        if t in self._tiles:
             return False
-        clip = self.ledger.bounds(tx, ty)
-        x0, x1, y0, y1 = clip
-        scatterer = self.accumulator.scatterer
-        box = self.tile_bbox(tx, ty)
+        box = self.tile_bbox(*t)
         dx, dy = self.bbox.pixel_size(self.nx, self.ny)
-        reach = scatterer.radius + max(dx, dy)
+        reach = self._scatterer.radius + max(dx, dy)
         pts = self._dataset.points[:self.n_points]
         near = np.flatnonzero(
             (pts[:, 0] >= box.xmin - reach) & (pts[:, 0] <= box.xmax + reach)
             & (pts[:, 1] >= box.ymin - reach) & (pts[:, 1] <= box.ymax + reach)
         )
         cuts = np.searchsorted(near, self._synced).tolist()
-        view = self.accumulator.surface_view(0)
-        view[x0:x1, y0:y1] = 0.0
-        # Unweighted, where sync adds unit weights: ``1.0 * x`` is ``x``,
-        # and a float32 sum taken in float64 then rounded is the float32
-        # sum, so the pixels match bit for bit.
+        tile = np.zeros((self.tile_px, self.tile_px),
+                        dtype=self._scatterer.dtype)
         for a, b in zip(cuts[:-1], cuts[1:]):
             if b > a:
-                scatterer.scatter(view, pts[near[a:b]], clip=clip)
-        self._ready[tx, ty] = True
+                self._scatter(tile, t, pts[near[a:b]])
+        self._tiles[t] = tile
         return True
 
     def tile_bounds_px(self, tx: int, ty: int) -> tuple[int, int, int, int]:
         """Pixel bounds of tile ``(tx, ty)``; bad addresses raise 404s."""
-        ledger = self.ledger
-        if not (0 <= tx < ledger.tiles_nx and 0 <= ty < ledger.tiles_ny):
+        if not (0 <= tx < self.side and 0 <= ty < self.side):
             raise ServeError(
-                f"tile ({tx}, {ty}) outside the "
-                f"{ledger.tiles_nx}x{ledger.tiles_ny} lattice at zoom "
-                f"{self.zoom}"
+                f"tile ({tx}, {ty}) outside the {self.side}x{self.side} "
+                f"lattice at zoom {self.zoom}"
             )
-        return ledger.bounds(tx, ty)
+        x0, y0 = tx * self.tile_px, ty * self.tile_px
+        return x0, x0 + self.tile_px, y0, y0 + self.tile_px
 
     def tile_bbox(self, tx: int, ty: int) -> BoundingBox:
         """Geographic extent of tile ``(tx, ty)``."""
@@ -198,20 +177,22 @@ class MaintainedSurface(StreamingKDV):
     def tile_values(self, tx: int, ty: int) -> np.ndarray:
         """Density values of tile ``(tx, ty)``, ``(tile_px, tile_px)``.
 
-        Renders the tile first if it is not ready.  Clamped at zero like
-        :meth:`StreamingKDV.snapshot` (float cancellation residue must
-        not leak negative densities to clients); always a fresh array,
-        safe to cache.
+        Renders the tile first if it is not ready.  Clamped at zero (float
+        cancellation residue must not leak negative densities to
+        clients); always a fresh array, safe to cache.
         """
-        x0, x1, y0, y1 = self.tile_bounds_px(tx, ty)
+        self.tile_bounds_px(tx, ty)
         with self._lock:
-            self._render(tx, ty)
-            view = self.accumulator.surface_view(0)
-            return np.maximum(view[x0:x1, y0:y1], 0.0)
+            self._render((tx, ty))
+            return np.maximum(self._tiles[tx, ty], 0.0)
 
-    def snapshot(self):
+    def snapshot(self) -> DensityGrid:
         """The whole surface, every unready tile rendered first."""
+        values = np.empty((self.nx, self.ny), dtype=self._scatterer.dtype)
         with self._lock:
-            for tx, ty in np.argwhere(~self._ready).tolist():
-                self._render(tx, ty)
-            return super().snapshot()
+            for tx in range(self.side):
+                for ty in range(self.side):
+                    self._render((tx, ty))
+                    x0, x1, y0, y1 = self.tile_bounds_px(tx, ty)
+                    values[x0:x1, y0:y1] = np.maximum(self._tiles[tx, ty], 0.0)
+        return DensityGrid(self.bbox, values)

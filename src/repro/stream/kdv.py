@@ -87,24 +87,6 @@ class DirtyTileLedger:
         self._dirty[:] = False
         return out
 
-    def dirty_tiles(self) -> tuple[tuple[int, int], ...]:
-        """The currently dirty tiles as sorted ``(tx, ty)`` ids.
-
-        The public accessor contract for consumers that invalidate by
-        tile (the :mod:`repro.serve` tile cache, external renderers):
-        read the dirty set here, repaint/evict those tiles, then call
-        :meth:`clear_dirty` — no reaching into snapshot diagnostics
-        dicts.  Does **not** clear the ledger (pair with
-        :meth:`clear_dirty`, or use :meth:`take` for mask-and-clear in
-        one step).
-        """
-        tx, ty = np.nonzero(self._dirty)
-        return tuple(zip(tx.tolist(), ty.tolist()))
-
-    def clear_dirty(self) -> None:
-        """Clear every dirty flag (the partner of :meth:`dirty_tiles`)."""
-        self._dirty[:] = False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DirtyTileLedger({self.tiles_nx}x{self.tiles_ny} tiles of "
@@ -122,9 +104,7 @@ class StreamingKDV:
         :class:`~repro.core.kdv.MultiSurfaceAccumulator` (fixed window,
         lattice, kernel and bandwidth for the analytic's lifetime).
     tile:
-        Side length in pixels of the dirty-tile lattice; a subclass that
-        serves map tiles sets it to the tile size so dirty tiles are
-        cache keys (:class:`repro.serve.MaintainedSurface`).
+        Side length in pixels of the dirty-tile lattice.
     rescatter_ratio:
         Drift policy: when ``gross_weight / net_weight`` reaches this
         ratio the surface is rebuilt from the live window contents and
@@ -186,31 +166,6 @@ class StreamingKDV:
         """Number of events currently on the surface."""
         return self._acc.n_points
 
-    def _candidate_tiles(self, pts: np.ndarray) -> list[tuple[int, int]]:
-        """Tiles whose pixels any of ``pts``'s kernel patches may touch.
-
-        Sorted ``(tx, ty)`` ids.  Marks a tile mask with one vectorised
-        pass per tile offset a patch can span (a handful), not per event.
-        """
-        if pts.shape[0] == 0:
-            return []
-        ix_lo, ix_hi, iy_lo, iy_hi = self._acc.scatterer.windows(pts)
-        live = (ix_lo <= ix_hi) & (iy_lo <= iy_hi)  # patch meets the raster
-        if not live.any():
-            return []
-        tile = self.ledger.tile
-        tx_lo, tx_hi = ix_lo[live] // tile, ix_hi[live] // tile
-        ty_lo, ty_hi = iy_lo[live] // tile, iy_hi[live] // tile
-        mask = np.zeros((self.ledger.tiles_nx, self.ledger.tiles_ny), bool)
-        for ox in range(int((tx_hi - tx_lo).max()) + 1):
-            tx = tx_lo + ox
-            in_x = tx <= tx_hi
-            for oy in range(int((ty_hi - ty_lo).max()) + 1):
-                ty = ty_lo + oy
-                hit = in_x & (ty <= ty_hi)
-                mask[tx[hit], ty[hit]] = True
-        return [(tx, ty) for tx, ty in np.argwhere(mask).tolist()]
-
     def _compare_and_mark(
         self, candidates: list[tuple[int, int]], before: list[np.ndarray]
     ) -> int:
@@ -232,7 +187,7 @@ class StreamingKDV:
         ``delta.window`` when the drift policy fires.
         """
         changed = np.vstack([delta.entered_points, delta.left_points])
-        candidates = self._candidate_tiles(changed)
+        candidates = self._acc.scatterer.window_tiles(changed, self.ledger.tile)
         view = self._acc.surface_view(0)
         before = [
             view[x0:x1, y0:y1].copy()

@@ -280,11 +280,12 @@ class TestFloat64BitIdentity:
         kdv = StreamingKDV(BBOX, size, float(rng.uniform(0.05, 3.0)),
                            tile=int(rng.integers(1, 40)))
         # spread=3 puts many patches off the raster or clipped at its edge.
+        sc, tile = kdv.accumulator.scatterer, kdv.ledger.tile
         for n in (0, 1, 7, 300):
             pts = random_points(rng, n, spread=3.0)
-            assert kdv._candidate_tiles(pts) == legacy_candidate_tiles(kdv, pts)
+            assert sc.window_tiles(pts, tile) == legacy_candidate_tiles(kdv, pts)
         off = np.array([[1e6, 1e6], [-1e6, 4.0]])
-        assert kdv._candidate_tiles(off) == [] == legacy_candidate_tiles(kdv, off)
+        assert sc.window_tiles(off, tile) == [] == legacy_candidate_tiles(kdv, off)
 
 
 class TestFloat32BoundedError:
@@ -510,9 +511,9 @@ class TestDtypePlumbing:
 class TestClip:
     """``scatter(clip=...)`` writes the clip's pixels as the full scatter does.
 
-    Inside the clip every pixel is bit-identical to an unclipped scatter
-    onto the same starting values; outside it nothing changes, not even
-    the sign of a zero.
+    The target covers exactly the clip rectangle, and each of its pixels
+    ends bit-identical to the same pixel of an unclipped scatter onto the
+    same starting values, down to the sign of a zero.
     """
 
     @given(
@@ -549,13 +550,10 @@ class TestClip:
         start[:, 1::3] = 0.0
         full = start.copy()
         sc.scatter(full, pts, weights)
-        clipped = start.copy()
+        clipped = start[:, x0:x1, y0:y1].copy()
         sc.scatter(clipped, pts, weights, clip=(x0, x1, y0, y1))
-        inside = np.zeros((nx, ny), dtype=bool)
-        inside[x0:x1, y0:y1] = True
         for s in range(n_surfaces):
-            assert clipped[s][inside].tobytes() == full[s][inside].tobytes()
-            assert clipped[s][~inside].tobytes() == start[s][~inside].tobytes()
+            assert clipped[s].tobytes() == full[s, x0:x1, y0:y1].tobytes()
 
     def test_float32_bucket_order_survives_the_clip(self):
         """Points from several buckets sum in the unclipped bucket order."""
@@ -567,12 +565,10 @@ class TestClip:
         sc.scatter(full, pts)
         for clip in [(60, 70, 0, 260), (0, 300, 120, 140), (63, 129, 64, 65)]:
             x0, x1, y0, y1 = clip
-            part = np.zeros(size, dtype=np.float32)
+            part = np.zeros((x1 - x0, y1 - y0), dtype=np.float32)
             scattered, _ = sc.scatter(part, pts, clip=clip)
             assert scattered > 0
-            assert part[x0:x1, y0:y1].tobytes() == full[x0:x1, y0:y1].tobytes()
-            part[x0:x1, y0:y1] = 0.0
-            assert not part.any()
+            assert part.tobytes() == full[x0:x1, y0:y1].tobytes()
 
     def test_rejects_clip_outside_the_raster(self):
         sc = PatchScatter(BBOX, (8, 8), 1.0)
@@ -580,11 +576,16 @@ class TestClip:
             with pytest.raises(ParameterError, match="clip"):
                 sc.scatter(np.zeros((8, 8)), np.array([[1.0, 1.0]]), clip=clip)
 
+    def test_rejects_values_not_shaped_like_the_clip(self):
+        sc = PatchScatter(BBOX, (8, 8), 1.0)
+        with pytest.raises(ParameterError, match=r"\(\.\.\., 3, 8\)"):
+            sc.scatter(np.zeros((8, 8)), np.array([[1.0, 1.0]]),
+                       clip=(2, 5, 0, 8))
+
     def test_empty_clip_scatters_nothing(self):
         sc = PatchScatter(BBOX, (8, 8), 1.0)
-        values = np.zeros((8, 8))
+        values = np.zeros((0, 8))
         assert sc.scatter(values, np.array([[5.0, 4.0]]), clip=(3, 3, 0, 8)) == (0, 0)
-        assert not values.any()
 
 
 class TestPatchScatterValidation:

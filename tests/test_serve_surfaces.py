@@ -8,11 +8,14 @@ raster as they arrived.  The eager reference here is a test-local
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro
+from repro import obs
+from repro.core.kernels import get_kernel
 from repro.core.scatter import PatchScatter
 from repro.serve import AnalyticsService, Dataset, MaintainedSurface, ServeConfig
 
@@ -141,13 +144,61 @@ class TestSyncReportsReadyTiles:
         assert surface.sync(dataset) == ()
         assert surface.n_points == 200
         assert surface.tiles_ready == 0
-        assert not surface.accumulator.surface_view(0).any()
+        assert surface._tiles == {}   # no tile stored
         dataset.ingest([[4.0, 4.0]])
         assert surface.sync(dataset) == ()   # no tile ready: nothing to report
-        assert not surface.accumulator.surface_view(0).any()
+        assert surface._tiles == {}
         assert surface.render(2, 5) is True
         assert surface.render(2, 5) is False
         assert surface.tiles_ready == 1
+
+    def test_sync_far_from_the_ready_tile_scatters_nothing(self):
+        dataset = Dataset("d", BBOX.sample_uniform(200, np.random.default_rng(3)),
+                          bbox=BBOX)
+        surface = MaintainedSurface(dataset, 3, 0.3, tile_px=TILE_PX)
+        surface.sync(dataset)
+        before = surface.tile_values(0, 0)   # the corner (0, 0)-(1, 1)
+        batch = np.random.default_rng(4).uniform(6.5, 7.5, (40, 2))
+        dataset.ingest(batch)
+        with obs.enabled() as trace:
+            assert surface.sync(dataset) == ()
+        assert trace.diagnostics().counter("scatter.points") == 0
+        assert surface.tiles_ready == 1
+        assert surface.tile_values(0, 0).tobytes() == before.tobytes()
+
+
+class TestFootprint:
+    def test_zoom9_surface_serves_one_tile_in_bounded_memory(self):
+        """A 32,768-pixel-square level stores only the tile it served."""
+        rng = np.random.default_rng(9)
+        zoom, tile_px, bandwidth = 9, 64, 0.01
+        tx, ty = 300, 200
+        npx = tile_px * 2 ** zoom
+        px = BBOX.width / npx
+        centre = (np.array([tx, ty]) + 0.5) * tile_px * px
+        points = np.vstack([BBOX.sample_uniform(500, rng),
+                            rng.normal(centre, 0.01, (60, 2))])
+        dataset = Dataset("d", points, bbox=BBOX)
+        tracemalloc.start()
+        try:
+            surface = MaintainedSurface(dataset, zoom, bandwidth,
+                                        tile_px=tile_px)
+            surface.sync(dataset)
+            values = surface.tile_values(tx, ty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert surface.tiles_ready == 1 and values.shape == (tile_px, tile_px)
+        # Direct kernel sum at the tile's pixel centres.
+        xs = (tx * tile_px + np.arange(tile_px) + 0.5) * px
+        ys = (ty * tile_px + np.arange(tile_px) + 0.5) * px
+        dist = np.hypot(xs[:, None, None] - points[:, 0],
+                        ys[None, :, None] - points[:, 1])
+        want = get_kernel("quartic").evaluate(dist, bandwidth).sum(axis=-1)
+        assert want.max() > 0.0
+        np.testing.assert_allclose(values, want, rtol=1e-12,
+                                   atol=1e-12 * want.max())
 
 
 class TestServiceRenders:
