@@ -5,7 +5,9 @@ speed through their guarantee knobs (eps for the multiplicative bound,
 tau for the dual-tree absolute bound, eps/delta for Hoeffding sampling).
 This ablation sweeps the knobs on a fixed Gaussian-kernel workload and
 records both the measured error and the speed — verifying that every
-measured error respects its advertised guarantee.
+measured error respects its advertised guarantee.  The ``bounds`` rows
+report the maximum *relative* error against an elementwise float64 sum,
+over every pixel above 1e-300.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kdv import KDVProblem, kde_dualtree, kde_sampling
+from repro.core.kdv import KDVProblem, kde_bounds, kde_dualtree, kde_sampling
 from repro.core.kdv.naive import kde_naive
 
 from _util import record
@@ -30,6 +32,18 @@ def workload(crime):
     return problem, reference
 
 
+@pytest.fixture(scope="module")
+def elementwise(workload):
+    """Every pixel's kernel sum, one float64 ``evaluate`` per point."""
+    problem, _ = workload
+    xs, ys = problem.pixel_centers()
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    out = np.zeros((problem.nx, problem.ny))
+    for px, py in problem.points:
+        out += problem.kernel.evaluate(np.hypot(gx - px, gy - py), BANDWIDTH)
+    return out
+
+
 @pytest.mark.parametrize("tau", [10.0, 1.0, 0.1])
 def test_dualtree_tau_sweep(benchmark, tau, workload):
     problem, reference = workload
@@ -42,6 +56,21 @@ def test_dualtree_tau_sweep(benchmark, tau, workload):
     ROWS.append(
         [f"dualtree tau={tau}", benchmark.stats.stats.min, err, tau / 2]
     )
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_bounds_eps_sweep(benchmark, eps, workload, elementwise):
+    problem, _ = workload
+    grid = benchmark.pedantic(
+        kde_bounds, args=(problem,), kwargs=dict(eps=eps),
+        rounds=2, iterations=1,
+    )
+    live = elementwise > 1e-300
+    rel = np.abs(grid.values[live] - elementwise[live]) / elementwise[live]
+    err = float(rel.max())
+    assert err <= eps, "the advertised relative bound must hold"
+    ROWS.append([f"bounds eps={eps} (relative)", benchmark.stats.stats.min,
+                 err, eps])
 
 
 @pytest.mark.parametrize("sample", [200, 800, 3200])
@@ -71,7 +100,7 @@ def test_zz_report(benchmark):
         return record(
             "ablation_approx_quality",
             [
-                [name, f"{t * 1e3:.0f} ms", f"{err:.3f}", f"{bound:.3f}"]
+                [name, f"{t * 1e3:.0f} ms", f"{err:.3g}", f"{bound:.3g}"]
                 for name, t, err, bound in ROWS
             ],
             headers=["method/knob", "best time", "measured max err", "bound"],

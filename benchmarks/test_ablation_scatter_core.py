@@ -206,7 +206,7 @@ def plan(crime_large):
     dx, dy = problem.bbox.pixel_size(*SIZE)
     jobs = []
     for tile in _partition_tiles(SIZE[0], SIZE[1], _PLAN_TILE_CAP):
-        frontier, base, _ = _plan_tile(
+        frontier, base, _, _ = _plan_tile(
             tree, problem.kernel, BANDWIDTH, per_w_tol, xs, ys, tile
         )
         if frontier:

@@ -6,7 +6,7 @@ from .api import KDV_METHODS, kde_grid
 from .bandwidth import scott_bandwidth, silverman_bandwidth
 from .lscv import lscv_bandwidth, lscv_score
 from .base import KDVProblem, effective_radius
-from .bounds import kde_bounds, kde_point_bounds
+from .bounds import kde_bounds
 from .dualtree import RefinementStats, kde_dualtree
 from .planner import (
     CostModel,
@@ -39,7 +39,6 @@ __all__ = [
     "kde_dualtree",
     "kde_grid",
     "kde_grid_anisotropic",
-    "kde_point_bounds",
     "kde_sampling",
     "sample_size",
     "scott_bandwidth",

@@ -108,23 +108,27 @@ def _sweep_infeasible(f: Features) -> str | None:
     return None
 
 
+def _tree_cost(c, f: Features, budget_factor: float) -> float:
+    return (c("dualtree_base")
+            + c("dualtree_build") * _n(f) * _logn(f)
+            + c("dualtree_refine") * _npx(f) * _logn(f) * budget_factor
+            / _speedup(f))
+
+
 def _dualtree_cost(c, f: Features) -> float:
     tau = f.get("tau")
     tau = _TAU if tau is None else max(float(tau), 1e-12)
     # Tighter budgets refine more pairs; the sqrt law is a documented
     # heuristic, clipped so a wild tau cannot blow the prediction past
     # physical plausibility.
-    tau_factor = min(4.0, max(0.25, math.sqrt(_TAU / tau)))
-    return (c("dualtree_base")
-            + c("dualtree_build") * _n(f) * _logn(f)
-            + c("dualtree_refine") * _npx(f) * _logn(f) * tau_factor
-            / _speedup(f))
+    return _tree_cost(c, f, min(4.0, max(0.25, math.sqrt(_TAU / tau))))
 
 
 def _bounds_cost(c, f: Features) -> float:
-    eps = f.get("eps")
-    eps = _EPS if eps is None else max(float(eps), 1e-3)
-    return c("bounds_unit") * _npx(f) * _logn(f) / eps
+    # The same refinement under a relative budget: on 2k-20k-point
+    # chicago_crime inputs it measured 1-3x the default-tau dual tree,
+    # and flat in eps over 0.01-0.2.
+    return _tree_cost(c, f, 2.0)
 
 
 def _sampling_cost(c, f: Features) -> float:
@@ -145,9 +149,8 @@ BACKENDS: dict[str, Backend] = {b.name: b for b in (
     Backend("dualtree", kde_dualtree, _dualtree_cost,
             params={"tau": _TAU, "workers": None, "backend": None},
             calibrates="dualtree_refine", auto=True),
-    Backend("bounds", kde_bounds, _bounds_cost,
-            params={"eps": _EPS, "index": "kdtree"}, weights=False,
-            calibrates="bounds_unit"),
+    Backend("bounds", kde_bounds, _bounds_cost, params={"eps": _EPS},
+            weights=False, calibrates="dualtree_refine"),
     Backend("sampling", kde_sampling, _sampling_cost,
             params={"eps": _EPS, "delta": 0.05, "sample": None, "seed": None},
             weights=False, calibrates="sampling_base"),

@@ -12,7 +12,7 @@ method        algorithm                                             result
 ``sweep``     SLAM-style sweep line, O(Y(X + n))                    exact
 ``naive``     brute-force O(XYn) gather over row bands on workers   exact
 ``dualtree``  parallel tile-vs-node block refinement                |err|<=tau/2
-``bounds``    per-pixel kd/ball-tree function approximation         (1±eps)
+``bounds``    dual tree with a per-tile relative budget             (1±eps)
 ``sampling``  reweighted uniform subset (Equation 7)                prob.
 ``adaptive``  Abramson/Silverman per-point bandwidths               exact**
 ============  ====================================================  ============
@@ -28,7 +28,9 @@ honours, whether it takes per-point ``weights`` (all but ``bounds`` and
 ``sampling``, whose analyses assume unit mass), whether ``auto`` plans
 among it, and what it costs.  The method names, the keyword audit and
 dispatch below are derived from it.  ``dualtree`` spends its
-``|err| <= tau/2`` budget against the total weight and attaches a
+``|err| <= tau/2`` budget against the total weight; ``bounds`` runs the
+same refinement with each plan tile's budget set to ``eps`` times a
+lower bound on the tile's density.  Both attach a
 :class:`~repro.core.kdv.dualtree.RefinementStats` record to
 ``diagnostics.records["refinement"]``; ``naive`` and ``dualtree`` run
 their hot loop through :mod:`repro.parallel` under the bit-identical
@@ -42,7 +44,7 @@ for the problem's shape and the :mod:`repro.parallel` worker default
 decision on the result's ``diagnostics.records["kdv.plan"]``.
 
 Method-specific keywords (``eps``, ``delta``, ``sample``, ``seed``,
-``index``, ``tau``, ``workers``, ``backend``, ``dtype``) raise
+``tau``, ``workers``, ``backend``, ``dtype``) raise
 :class:`~repro.errors.ParameterError` with an *explicit* method that
 would ignore them.  With ``method="auto"`` they are planning hints: the
 audit runs against the resolved method, and hints no single backend can
@@ -84,7 +86,6 @@ def kde_grid(
     eps: float | None = None,
     delta: float | None = None,
     sample: int | None = None,
-    index: str | None = None,
     tau: float | None = None,
     dtype=None,
     seed=None,
@@ -126,9 +127,6 @@ def kde_grid(
         :func:`repro.parallel.set_default_workers`, falling back to 1).
         They change wall time only: the output is bit-identical for
         every setting.
-    index:
-        Carrier index for ``bounds``: ``"kdtree"`` (default) or
-        ``"balltree"``.
     tau:
         Absolute error budget for ``dualtree`` (per-pixel error
         <= tau/2; default ``1e-3``).
@@ -144,12 +142,13 @@ def kde_grid(
     Returns
     -------
     :class:`~repro.raster.DensityGrid` (with a ``RefinementStats`` record
-    on ``.diagnostics.records["refinement"]`` when ``method="dualtree"``,
+    on ``.diagnostics.records["refinement"]`` when ``method`` is
+    ``"dualtree"`` or ``"bounds"``,
     and a populated span tree whenever tracing is enabled).
     """
     _check_method(method)
     explicit = {k: v for k, v in dict(
-        eps=eps, delta=delta, sample=sample, seed=seed, index=index, tau=tau,
+        eps=eps, delta=delta, sample=sample, seed=seed, tau=tau,
         workers=workers, backend=backend, dtype=dtype,
     ).items() if v is not None}
 

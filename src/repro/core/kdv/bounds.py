@@ -1,137 +1,56 @@
 """Bound-based KDV: the paper's function-approximation method family.
 
-Following QUAD [25] / KARL [34], every tree node gives lower and upper
-bounds on its points' kernel contribution: with ``m`` points under a node
-and query-to-node distance bounds ``dmin <= dist <= dmax``, monotonicity of
-the kernel yields
+Following QUAD [25] / KARL [34], a kd-tree node bounds its points' kernel
+contribution: with ``m`` points under a node and pixel-to-node distance
+bounds ``dmin <= dist <= dmax``, monotonicity of the kernel yields
 
     m * K(dmax)  <=  contribution  <=  m * K(dmin).
 
-Starting from the root, the pixel's density is bracketed by ``[LB, UB]``;
-the frontier node with the largest bound gap is refined (its children
-replace it, or its leaf points are summed exactly) until
+``bounds`` is a mode of the dual-tree refinement (:mod:`.dualtree`), which
+applies these bounds to whole pixel tiles at once.  Its plan sums
+``m * K(dmax)`` over the nodes it keeps for each plan tile ``T``, a lower
+bound ``L_T`` on every pixel of ``T``; the tile is then refined under the
+absolute budget ``eps * L_T``, so every pixel satisfies
 
-    UB <= (1 + eps) * LB            (Equation 6)
+    (1 - eps) * F(q)  <=  R(q)  <=  (1 + eps) * F(q)        (Equation 6)
 
-at which point ``R(q) = (LB + UB) / 2`` satisfies
-``(1 - eps) F(q) <= R(q) <= (1 + eps) F(q)``.
-
-Works with any monotone non-increasing kernel — including the Gaussian,
-which the sweep-line method cannot handle — and with either the kd-tree or
-the ball-tree as carrier index (both cited by the paper).
+including low-density pixels, and an empty pixel stays exactly 0.  Works
+with any monotone non-increasing kernel — including the Gaussian, which
+the sweep-line method cannot handle.
 """
 
 from __future__ import annotations
 
-import heapq
-
-import numpy as np
-
-from ... import obs
+from ..._validation import check_non_negative
 from ...errors import ParameterError
-from ...index import BallTree, KDTree
 from .base import KDVProblem
+from .dualtree import _refine
 
-__all__ = ["kde_bounds", "kde_point_bounds"]
-
-
-def kde_point_bounds(tree, kernel, bandwidth: float, x: float, y: float, eps: float,
-                     _counters: dict | None = None) -> float:
-    """Approximate kernel sum at one query with the Equation 6 guarantee.
-
-    ``_counters`` (internal) is a mutable dict the caller passes to
-    accumulate ``refined`` / ``scanned`` observability counters without
-    changing the return type.
-    """
-    b = bandwidth
-    root = 0
-    dmin, dmax = tree.node_bounds(root, x, y)
-    m = tree.node_count(root)
-    ub_root = m * float(kernel.evaluate(dmin, b))
-    lb_root = m * float(kernel.evaluate(dmax, b))
-
-    exact = 0.0  # mass resolved exactly (leaf scans, zero-width nodes)
-    lb_total = lb_root
-    ub_total = ub_root
-    # Max-heap on the bound gap; entries: (-gap, counter, node, lb, ub).
-    counter = 0
-    heap = [(-(ub_root - lb_root), counter, root, lb_root, ub_root)]
-
-    while heap:
-        if ub_total <= (1.0 + eps) * lb_total:
-            break
-        neg_gap, _, node, lb, ub = heapq.heappop(heap)
-        if -neg_gap <= 0.0:
-            # Remaining frontier nodes are all tight; bounds are equal.
-            heapq.heappush(heap, (neg_gap, counter, node, lb, ub))
-            break
-        lb_total -= lb
-        ub_total -= ub
-        if _counters is not None:
-            _counters["refined"] += 1
-        if tree.is_leaf(node):
-            block = tree.node_points(node)
-            d2 = (block[:, 0] - x) ** 2 + (block[:, 1] - y) ** 2
-            exact += float(kernel.evaluate_sq(d2, b).sum())
-            if _counters is not None:
-                _counters["scanned"] += block.shape[0]
-        else:
-            for child in tree.children(node):
-                cmin, cmax = tree.node_bounds(child, x, y)
-                m = tree.node_count(child)
-                c_ub = m * float(kernel.evaluate(cmin, b))
-                c_lb = m * float(kernel.evaluate(cmax, b))
-                lb_total += c_lb
-                ub_total += c_ub
-                counter += 1
-                heapq.heappush(heap, (-(c_ub - c_lb), counter, child, c_lb, c_ub))
-    return exact + 0.5 * (lb_total + ub_total)
+__all__ = ["kde_bounds"]
 
 
-def kde_bounds(
-    problem: KDVProblem,
-    eps: float = 0.05,
-    index: str = "kdtree",
-    leaf_size: int = 32,
-):
+def kde_bounds(problem: KDVProblem, eps: float = 0.05, leaf_size: int = 32):
     """KDV with a per-pixel multiplicative (1 +/- eps) guarantee.
 
     Parameters
     ----------
     problem:
         The KDV instance.  Per-point weights are not supported by this
-        backend (the node bounds assume unit weights).
+        backend: the relative bound needs non-negative unit mass.
     eps:
         Relative approximation guarantee of Equation 6; ``eps = 0`` forces
-        exact evaluation (every node refines down to leaves).
-    index:
-        ``"kdtree"`` or ``"balltree"`` — the carrier index structure.
+        exact evaluation (the same values as ``kde_dualtree(tau=0)``).
     leaf_size:
-        Leaf size of the carrier index.
+        kd-tree leaf size.
+
+    Returns
+    -------
+    :class:`~repro.raster.DensityGrid` with the dual tree's
+    :class:`~repro.core.kdv.dualtree.RefinementStats` record on
+    ``grid.diagnostics.records["refinement"]``.
     """
     if problem.weights is not None:
-        raise ParameterError("the bound-based backend does not support point weights")
-    eps = float(eps)
-    if eps < 0.0:
-        raise ParameterError(f"eps must be non-negative, got {eps}")
-    if index == "kdtree":
-        tree = KDTree(problem.points, leaf_size=leaf_size)
-    elif index == "balltree":
-        tree = BallTree(problem.points, leaf_size=leaf_size)
-    else:
-        raise ParameterError(f"index must be 'kdtree' or 'balltree', got {index!r}")
-
-    xs, ys = problem.pixel_centers()
-    values = np.empty((problem.nx, problem.ny), dtype=np.float64)
-    kernel = problem.kernel
-    b = problem.bandwidth
-    counters = {"refined": 0, "scanned": 0} if obs.is_active() else None
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            values[i, j] = kde_point_bounds(
-                tree, kernel, b, float(x), float(y), eps, _counters=counters
-            )
-    if counters is not None:
-        obs.count("kdv.nodes_refined", counters["refined"])
-        obs.count("kdv.points_scanned", counters["scanned"])
-    return problem.make_grid(values)
+        raise ParameterError(
+            "the bound-based backend does not support point weights")
+    eps = check_non_negative(eps, "eps")
+    return _refine(problem, "kdv.bounds", leaf_size, None, None, eps=eps)

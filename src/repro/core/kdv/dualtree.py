@@ -1,9 +1,10 @@
-"""Dual-tree KDV: parallel block function approximation with an absolute guarantee.
+"""Dual-tree KDV: parallel block function approximation with a stated guarantee.
 
-The per-pixel bound refinement of :mod:`.bounds` answers one pixel at a
-time; the dual-tree formulation (the structure actually used by QUAD [25]
-and the classic Gray-Moore dual-tree KDE [51, 52]) refines *pixel tiles*
-against *kd-tree nodes* simultaneously:
+The library's one tree-refinement engine: the dual-tree formulation (the
+structure actually used by QUAD [25] and the classic Gray-Moore dual-tree
+KDE [51, 52]) refines *pixel tiles* against *kd-tree nodes* at once,
+under an absolute budget (``kde_dualtree``) or a relative one (the
+``bounds`` mode of :mod:`.bounds`):
 
 * for a (tile, node) pair, the distance between the tile's rectangle and
   the node's bounding box brackets every pixel-point distance, so
@@ -21,6 +22,8 @@ against *kd-tree nodes* simultaneously:
 
 The guarantee is *absolute* (``|F̂(q) - F(q)| <= tau/2`` for every pixel),
 which composes cleanly across tiles; pass ``tau=0`` for exact evaluation.
+The ``bounds`` mode spends ``eps`` times a lower bound on each plan
+tile's density instead, which gives Equation 6's relative guarantee.
 Works with every kernel in the library.
 
 **Plan/execute split.**  Refinement runs in two phases so the hot loop can
@@ -164,15 +167,19 @@ def _plan_tile(
     xs: np.ndarray,
     ys: np.ndarray,
     tile: tuple[int, int, int, int],
-) -> tuple[list[int], float, tuple[int, int, int]]:
+) -> tuple[list[int], float, float, tuple[int, int, int]]:
     """Prune the kd-node frontier of one tile at the top of the tree.
 
     Descends *nodes only* (the tile is fixed): pairs whose recursion rule
     would next split the tile — or that are leaf-leaf — stop and join the
     frontier; out-of-support and zero-weight nodes are dropped; pairs
     already tight over the whole tile are folded into a scalar ``base``
-    added uniformly to every pixel of the tile.  Returns
-    ``(frontier, base, (pairs, pruned, accepted))``.
+    added uniformly to every pixel of the tile.  The kept nodes (accepted
+    or on the frontier) and the dropped ones partition the points, so
+    ``lower``, the sum of ``W_node * K(dmax)`` over the kept nodes, is a
+    lower bound on the density of every pixel of the tile (0 when one of
+    them is empty).  Returns ``(frontier, base, lower, (pairs, pruned,
+    accepted))``.
     """
     ix0, ix1, iy0, iy1 = tile
     tx0, tx1 = xs[ix0], xs[ix1 - 1]
@@ -185,7 +192,7 @@ def _plan_tile(
     wsum = tree.node_weight_sum
 
     frontier: list[int] = []
-    base = 0.0
+    base = lower = 0.0
     pairs = pruned = accepted = 0
     stack = [0]
     while stack:
@@ -200,13 +207,13 @@ def _plan_tile(
         dmin, dmax = _box_distance_bounds(
             tx0, tx1, ty0, ty1, nmin[0], nmax[0], nmin[1], nmax[1]
         )
-        k_hi = float(kernel.evaluate(dmin, bandwidth))
+        k_hi, k_lo = kernel.evaluate(np.array((dmin, dmax)), bandwidth).tolist()
         if k_hi == 0.0:
             pruned += 1
             continue
-        k_lo = float(kernel.evaluate(dmax, bandwidth))
         if k_hi - k_lo <= per_w_tol:
             base += w_node * (0.5 * (k_hi + k_lo))
+            lower += w_node * k_lo
             accepted += 1
             continue
         node_is_leaf = tree.is_leaf(node)
@@ -216,11 +223,12 @@ def _plan_tile(
             # The recursion would split the tile next (or scan leaf-leaf):
             # either way the execute job owns it from here.
             frontier.append(node)
+            lower += w_node * k_lo
             continue
         left, right = tree.children(node)
         stack.append(left)
         stack.append(right)
-    return frontier, base, (pairs, pruned, accepted)
+    return frontier, base, lower, (pairs, pruned, accepted)
 
 
 def _refine_tile(
@@ -429,8 +437,31 @@ def kde_dualtree(
     record on ``grid.diagnostics.records["refinement"]``.
     """
     tau = check_non_negative(tau, "tau")
+    return _refine(problem, "kdv.dualtree", leaf_size, workers, backend,
+                   tau=tau)
 
-    with obs.task("kdv.dualtree") as trace:
+
+def _refine(
+    problem: KDVProblem,
+    task: str,
+    leaf_size: int,
+    workers: int | None,
+    backend: str | None,
+    tau: float = 0.0,
+    eps: float | None = None,
+):
+    """Plan and execute the dual-tree refinement under one error budget.
+
+    With ``eps`` unset every pair spends the absolute budget ``tau``
+    (``per_w_tol = tau / W_total``).  With ``eps`` set, the plan accepts
+    only exact pairs and each plan tile ``T`` is then refined with
+    ``per_w_tol = 2 * eps * L_T / W_total``, where ``L_T`` is the plan's
+    lower bound on every pixel of ``T``: each pixel's error is at most
+    ``eps * L_T <= eps * F`` (Equation 6), and a tile holding an empty
+    pixel has ``L_T = 0`` and is evaluated exactly.  ``task`` names the
+    :mod:`repro.obs` task the run is traced under.
+    """
+    with obs.task(task) as trace:
         plan_watch = obs.Stopwatch()
         with plan_watch, obs.span("plan"):
             tree = KDTree(problem.points, leaf_size=leaf_size,
@@ -444,7 +475,7 @@ def kde_dualtree(
             if total_weight == 0.0:
                 jobs = None  # zero total mass: density identically zero
             else:
-                per_w_tol = tau / total_weight
+                plan_tol = tau / total_weight if eps is None else 0.0
                 xs, ys = problem.pixel_centers()
                 dx, dy = problem.bbox.pixel_size(nx, ny)
                 tiles = _partition_tiles(nx, ny, _PLAN_TILE_CAP)
@@ -453,13 +484,15 @@ def kde_dualtree(
                 jobs = []
                 job_tiles: list[tuple[int, int, int, int]] = []
                 for tile in tiles:
-                    frontier, base, (t_pairs, t_pruned, t_accepted) = _plan_tile(
-                        tree, kernel, b, per_w_tol, xs, ys, tile
+                    frontier, base, lower, (t_pairs, t_pruned, t_accepted) = (
+                        _plan_tile(tree, kernel, b, plan_tol, xs, ys, tile)
                     )
                     pairs += t_pairs
                     pruned += t_pruned
                     accepted += t_accepted
                     if frontier:
+                        per_w_tol = (plan_tol if eps is None
+                                     else 2.0 * eps * lower / total_weight)
                         jobs.append((tree, kernel, b, per_w_tol, xs, ys,
                                      dx, dy, tile, frontier, base))
                         job_tiles.append(tile)

@@ -207,7 +207,6 @@ _DEFAULT_COEFFICIENTS: dict[str, float] = {
     "dualtree_base": 2.0e-2,
     "dualtree_build": 1.4e-7,
     "dualtree_refine": 5.1e-7,
-    "bounds_unit": 4.6e-6,
     "sampling_base": 2.0e-2,
 }
 
@@ -382,7 +381,7 @@ def plan_kdv(problem: KDVProblem,
         The validated KDV instance to plan for.
     requested:
         The caller's *explicit* method-specific keywords (a subset of
-        ``eps/delta/sample/seed/index/tau/workers/backend/dtype``;
+        ``eps/delta/sample/seed/tau/workers/backend/dtype``;
         ``None`` values are treated as "not requested").  They act as
         planning hints — see the module docstring for the semantics.
 

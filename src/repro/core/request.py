@@ -252,7 +252,6 @@ class KDVRequest(AnalyticsRequest):
     delta: float | None = None
     sample: int | None = None
     seed: int | None = None
-    index: str | None = None
     tau: float | None = None
     dtype: str | None = None
     workers: int | None = None

@@ -249,9 +249,9 @@ def _squared_thresholds(thresholds) -> tuple[np.ndarray, float]:
 def threshold_counts(index, queries, thresholds) -> np.ndarray:
     """``(nq, D)`` int64 counts of indexed points within each threshold.
 
-    ``index`` is any :class:`GridIndex`, :class:`DynamicGridIndex` or
-    :class:`KDTree`; its ``neighbor_pairs`` yields the pairs within the
-    largest threshold.  Count ``k`` of a query is ``#{d2 <= t2[k]}`` with
+    ``index`` is a :class:`GridIndex` or a :class:`DynamicGridIndex`; its
+    ``neighbor_pairs`` yields the pairs within the largest threshold.
+    Count ``k`` of a query is ``#{d2 <= t2[k]}`` with
     ``t2 = copysign(t * t, t)``: each squared distance lands in the bin
     ``#{sorted t2 < d2}`` (one comparison per threshold) and a per-query
     ``cumsum`` of the bins gives every threshold, in the order given.  A

@@ -4,10 +4,10 @@ The tree supports the three access patterns the analytics layer needs:
 
 * **range queries / range counts** for distance-band spatial weights,
 * **k-nearest-neighbour queries** for IDW and kriging neighbourhoods,
-* **node-level traversal with distance bounds** for the bound-based KDV
-  (QUAD/KARL-style function approximation), which needs, for any node, the
-  minimum and maximum distance from a query to the node's bounding box and
-  the number of points below the node.
+* **node-level traversal** for the dual-tree KDV (QUAD/KARL-style
+  function approximation), which bounds a pixel tile's distance to a
+  node through the node's bounding box (``node_min`` / ``node_max``) and
+  weighs it by the number of points below the node.
 
 Nodes are stored in flat NumPy arrays (structure-of-arrays) and points are
 reordered once at build time, so leaf scans are contiguous slices.
@@ -144,7 +144,7 @@ class KDTree:
                     wsum[node] = wsum[lefts[node]] + wsum[rights[node]]
         self.node_weight_sum = wsum
 
-    # -- node-level API (used by bound-based KDV) ---------------------------
+    # -- node-level API (used by the dual-tree KDV) -------------------------
 
     @property
     def n_nodes(self) -> int:
@@ -187,16 +187,6 @@ class KDTree:
     def node_point_indices(self, node: int) -> np.ndarray:
         """Original indices of the points under ``node``."""
         return self.indices[self.node_start[node]:self.node_stop[node]]
-
-    def node_bounds(self, node: int, x: float, y: float) -> tuple[float, float]:
-        """(min, max) Euclidean distance from ``(x, y)`` to node's bbox points.
-
-        The minimum is the distance to the bounding rectangle; the maximum is
-        the distance to its farthest corner.  Both bound the distance to any
-        point stored under the node.
-        """
-        dx_min, dy_min, dx_max, dy_max = self._node_gaps(node, x, y)
-        return float(np.hypot(dx_min, dy_min)), float(np.hypot(dx_max, dy_max))
 
     def _node_gaps(self, node: int, x: float, y: float) -> tuple[float, ...]:
         """Per-axis (min, min, max, max) offsets from ``(x, y)`` to the box."""
@@ -287,25 +277,11 @@ class KDTree:
         """Unsorted squared distances of every point within ``radius >= 0``."""
         radius = check_non_negative(radius, "radius")
         x, y = as_center(center)
-        return self._d2_at(x, y, radius)
-
-    def _d2_at(self, x: float, y: float, radius: float) -> np.ndarray:
         pos = self._range_positions(x, y, radius)
         if pos.size == 0:
             return np.empty(0, dtype=np.float64)
         block = self._sorted_points[pos]
         return squared_norm(block[:, 0] - x, block[:, 1] - y)
-
-    def neighbor_pairs(self, queries: np.ndarray, radius: float):
-        """``(query_index, d2)`` per query from this tree's own walk.
-
-        The pair source :func:`threshold_counts` reads: one walk per
-        query row, which the caller has validated.
-        """
-        radius = check_non_negative(radius, "radius")
-        for i, (x, y) in enumerate(queries.tolist()):
-            d2 = self._d2_at(x, y, radius)
-            yield np.full(d2.shape[0], i), d2
 
     # -- nearest neighbours ----------------------------------------------------
 
@@ -341,7 +317,8 @@ class KDTree:
                         heapq.heapreplace(heap, (-float(dist2), start + offset))
                 continue
             for child in self.children(node):
-                cmin, _ = self.node_bounds(child, x, y)
+                dx_min, dy_min, _, _ = self._node_gaps(child, x, y)
+                cmin = float(np.hypot(dx_min, dy_min))
                 if len(heap) < k or cmin * cmin < -heap[0][0]:
                     heapq.heappush(node_heap, (cmin, child))
 

@@ -9,7 +9,7 @@ from repro._validation import as_points
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
 from repro.index import (
-    BallTree, DynamicGridIndex, GridIndex, KDTree, counts, threshold_counts,
+    DynamicGridIndex, GridIndex, KDTree, counts, threshold_counts,
     threshold_totals,
 )
 
@@ -129,7 +129,8 @@ class TestNeighborD2:
         want = np.stack([
             [len(brute_indices(pts, q, s)) for s in ts] for q in pts[:30]
         ])
-        for index in self._indexes(pts):
+        grid, _, dyn = self._indexes(pts)
+        for index in (grid, dyn):
             table = threshold_counts(index, pts[:30], ts)
             assert table.dtype == np.int64
             np.testing.assert_array_equal(table, want)
@@ -145,17 +146,15 @@ class TestNonFiniteCenter:
     """Every single-point query on every index rejects a non-finite centre."""
 
     @pytest.mark.parametrize("make", [
-        lambda pts: GridIndex(pts, cell_size=1.0), dynamic_of, KDTree, BallTree,
-    ], ids=["grid", "dynamic", "kdtree", "balltree"])
+        lambda pts: GridIndex(pts, cell_size=1.0), dynamic_of, KDTree,
+    ], ids=["grid", "dynamic", "kdtree"])
     @pytest.mark.parametrize("center", [
         (np.nan, 1.0), (1.0, np.inf), (-np.inf, np.nan),
     ])
     def test_raises_data_error(self, random_points, make, center):
         index = make(random_points)
-        queries = [index.range_indices, index.range_count]
-        if not isinstance(index, BallTree):
-            queries += [index.neighbor_d2, index.neighbor_distances]
-        for query in queries:
+        for query in (index.range_indices, index.range_count,
+                      index.neighbor_d2, index.neighbor_distances):
             with pytest.raises(DataError, match="center"):
                 query(center, 1.0)
         if isinstance(index, KDTree):
@@ -401,8 +400,6 @@ class TestThresholdCountsProperty:
             np.testing.assert_array_equal(table, want)
             np.testing.assert_array_equal(
                 legacy_threshold_counts(index, queries, ts), table)
-            if isinstance(index, KDTree):
-                continue
             totals = threshold_totals(index, queries, ts)
             assert totals.dtype == np.int64 and totals.shape == (len(ts),)
             np.testing.assert_array_equal(totals, want.sum(axis=0))
@@ -454,12 +451,12 @@ class TestThresholdCountsProperty:
         # block small on the dynamic grid's 2**20-per-axis lattice.
         dyn = DynamicGridIndex(self.BBOX, max(cell, max(ts)))
         dyn.insert_many(pts)
-        indexes = (GridIndex(pts, cell, bbox=self.BBOX), KDTree(pts), dyn)
+        indexes = (GridIndex(pts, cell, bbox=self.BBOX), dyn)
         with pytest.MonkeyPatch.context() as mp:
             for index in indexes:
                 self._check_counts(index, q, ts, want, mp)
             # Fresh dynamic slots are 0..n-1, the static point indices.
-            for index in indexes[::2]:
+            for index in indexes:
                 self._check_neighbor_lists(index, pts, q, max(max(ts), 0.0), mp)
 
     def test_empty_index_and_empty_queries(self, random_points):
@@ -471,12 +468,11 @@ class TestThresholdCountsProperty:
         empty.remove_many(slots)
         assert threshold_counts(empty, random_points[:5], ts).sum() == 0
         assert threshold_totals(empty, random_points[:5], ts).tolist() == [0, 0, 0]
-        for index in (GridIndex(random_points, 1.0), KDTree(random_points), empty):
+        for index in (GridIndex(random_points, 1.0), empty):
             table = threshold_counts(index, np.empty((0, 2)), ts)
             assert table.shape == (0, 3) and table.dtype == np.int64
-            if not isinstance(index, KDTree):
-                totals = threshold_totals(index, np.empty((0, 2)), ts)
-                assert totals.tolist() == [0, 0, 0] and totals.dtype == np.int64
+            totals = threshold_totals(index, np.empty((0, 2)), ts)
+            assert totals.tolist() == [0, 0, 0] and totals.dtype == np.int64
 
     def test_chunks_split_mid_query_and_mid_column(self, monkeypatch):
         # One cell column holds all 50 points: budgets of 1 and 7 cut it.

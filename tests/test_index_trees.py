@@ -1,10 +1,11 @@
-"""Unit tests for the kd-tree and ball-tree."""
+"""Unit tests for the kd-tree."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.index import BallTree, KDTree, threshold_counts
+from repro.core.kdv.dualtree import _box_distance_bounds
+from repro.index import KDTree
 
 
 def brute_indices(points, center, radius):
@@ -17,7 +18,7 @@ def brute_knn(points, center, k):
     return np.sort(d)[:k]
 
 
-@pytest.mark.parametrize("tree_cls", [KDTree, BallTree])
+@pytest.mark.parametrize("tree_cls", [KDTree])
 class TestTreeRangeQueries:
     def test_range_indices_match_brute(self, tree_cls, random_points):
         tree = tree_cls(random_points, leaf_size=8)
@@ -40,12 +41,14 @@ class TestTreeRangeQueries:
         assert tree.range_count((1.0, 1.0), 0.01) == 7
 
     def test_node_bounds_bracket_points(self, tree_cls, random_points):
+        # The dual tree's box bounds, for a one-pixel tile at the query.
         tree = tree_cls(random_points, leaf_size=8)
-        q = (3.7, 9.1)
+        x, y = (3.7, 9.1)
         for node in range(tree.n_nodes):
-            dmin, dmax = tree.node_bounds(node, *q)
+            (nx0, ny0), (nx1, ny1) = tree.node_min[node], tree.node_max[node]
+            dmin, dmax = _box_distance_bounds(x, x, y, y, nx0, nx1, ny0, ny1)
             pts = tree.node_points(node)
-            d = np.sqrt(((pts - np.asarray(q)) ** 2).sum(axis=1))
+            d = np.sqrt(((pts - np.asarray((x, y))) ** 2).sum(axis=1))
             assert dmin <= d.min() + 1e-9
             assert dmax >= d.max() - 1e-9
 
@@ -137,14 +140,6 @@ class TestKDTreeSpecific:
         ref = np.sort(ref[ref <= 2.0])
         np.testing.assert_allclose(d, ref, atol=1e-12)
 
-    def test_threshold_counts(self, random_points):
-        tree = KDTree(random_points)
-        ts = np.array([0.5, 1.5, 3.0])
-        table = threshold_counts(tree, random_points[:6], ts)
-        for row, q in zip(table, random_points[:6]):
-            for c, s in zip(row, ts):
-                assert c == len(brute_indices(random_points, q, s))
-
     def test_knn_matches_brute(self, random_points):
         tree = KDTree(random_points, leaf_size=4)
         for k in [1, 3, 10]:
@@ -170,13 +165,3 @@ class TestKDTreeSpecific:
         assert d[0] == pytest.approx(0.0, abs=1e-9)
         assert ((random_points[idx[0]] - random_points[17]) ** 2).sum() < 1e-18
 
-
-class TestBallTreeSpecific:
-    def test_ball_contains_points(self, random_points):
-        tree = BallTree(random_points, leaf_size=8)
-        for node in range(tree.n_nodes):
-            pts = tree.node_points(node)
-            center = tree.node_center[node]
-            r = tree.node_radius[node]
-            d = np.sqrt(((pts - center) ** 2).sum(axis=1))
-            assert (d <= r + 1e-9).all()

@@ -1,12 +1,17 @@
 """Tests for the KDV backends: agreement, guarantees, API behaviour."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kdv import (
     KDVProblem,
     effective_radius,
     kde_bounds,
+    kde_dualtree,
     kde_grid,
     kde_sampling,
     sample_size,
@@ -17,7 +22,9 @@ from repro.core.kdv.gridcut import kde_gridcut
 from repro.core.kdv.naive import kde_naive
 from repro.core.kdv.sweep import kde_sweep
 from repro.core.kernels import KERNELS
+from repro.data import chicago_crime
 from repro.errors import DataError, ParameterError
+from repro.geometry import BoundingBox
 
 SIZE = (24, 16)
 BW = 2.0
@@ -25,6 +32,23 @@ BW = 2.0
 
 def reference(points, bbox, kernel, weights=None):
     return kde_naive(KDVProblem(points, bbox, SIZE, BW, kernel, weights=weights))
+
+
+def direct_sum(problem):
+    """Every pixel's kernel sum, one float64 ``evaluate`` per point."""
+    xs, ys = problem.pixel_centers()
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    out = np.zeros((problem.nx, problem.ny))
+    for px, py in problem.points:
+        out += problem.kernel.evaluate(np.hypot(gx - px, gy - py),
+                                       problem.bandwidth)
+    return out
+
+
+def relative_errors(got, want):
+    """``|got - want| / want`` over the pixels whose density is above 1e-300."""
+    live = want > 1e-300
+    return np.abs(got[live] - want[live]) / want[live]
 
 
 class TestBackendAgreement:
@@ -102,17 +126,69 @@ class TestBackendAgreement:
 
 
 class TestBoundsBackend:
-    @pytest.mark.parametrize("index", ["kdtree", "balltree"])
-    def test_multiplicative_guarantee(self, index, clustered_points, bbox):
+    def test_multiplicative_guarantee(self, clustered_points, bbox):
         eps = 0.1
         ref = kde_naive(KDVProblem(clustered_points, bbox, (12, 8), BW, "gaussian"))
         got = kde_bounds(
-            KDVProblem(clustered_points, bbox, (12, 8), BW, "gaussian"),
-            eps=eps,
-            index=index,
+            KDVProblem(clustered_points, bbox, (12, 8), BW, "gaussian"), eps=eps
         )
         rel = np.abs(got.values - ref.values) / np.maximum(ref.values, 1e-300)
         assert rel.max() <= eps
+
+    def test_equation6_holds_at_low_density_pixels(self):
+        """4k crime events, 48x32, gaussian at 2% of the diagonal: the
+        edge pixels' densities fall to 1e-93, where Equation 6 must still
+        hold pixel by pixel."""
+        data = chicago_crime(4000)
+        bandwidth = 0.02 * math.hypot(data.bbox.width, data.bbox.height)
+        problem = KDVProblem(data.points, data.bbox, (48, 32), bandwidth,
+                             "gaussian")
+        want = direct_sum(problem)
+        assert want.min() < 1e-80  # the low-density pixels are there
+        got = kde_bounds(problem, eps=0.01).values
+        assert relative_errors(got, want).max() <= 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(KERNELS)),
+        eps=st.sampled_from([0.0, 0.01, 0.2]),
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 60),
+        spread=st.floats(0.02, 0.5),
+        margin=st.floats(0.25, 4.0),
+        size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    )
+    def test_relative_bound_property(self, kernel, eps, seed, n, spread,
+                                     margin, size):
+        """Clustered points in a window reaching up to 4 bandwidths past
+        them: Equation 6 holds on every pixel above 1e-300 (up to float64
+        round-off), empty pixels stay exactly 0, and ``eps = 0`` is the
+        exact sum.  The window's diagonal stays near 20 bandwidths, so the
+        gaussian's lowest densities are near 1e-170 and none underflows."""
+        rng = np.random.default_rng(seed)
+        bandwidth = 1.0
+        centers = rng.uniform(0.0, 2.0, size=(3, 2))
+        points = (centers[rng.integers(0, 3, size=n)]
+                  + rng.normal(scale=spread, size=(n, 2)))
+        lo = points.min(axis=0) - margin * bandwidth
+        hi = points.max(axis=0) + margin * bandwidth
+        problem = KDVProblem(points, BoundingBox(*lo, *hi), size, bandwidth,
+                             kernel)
+        want = direct_sum(problem)
+        got = kde_bounds(problem, eps=eps).values
+        assert (relative_errors(got, want) <= eps + 1e-9).all()
+        assert (got[want == 0.0] == 0.0).all()
+
+    def test_eps_zero_equals_exact_dualtree(self, clustered_points, bbox):
+        problem = KDVProblem(clustered_points, bbox, SIZE, BW, "gaussian")
+        assert np.array_equal(kde_bounds(problem, eps=0.0).values,
+                              kde_dualtree(problem, tau=0.0).values)
+
+    def test_reports_refinement_stats(self, clustered_points, bbox):
+        grid = kde_bounds(
+            KDVProblem(clustered_points, bbox, SIZE, BW, "quartic"), eps=0.05)
+        stats = grid.diagnostics.records["refinement"]
+        assert stats.pairs_visited > 0 and stats.n_tiles > 0
 
     def test_eps_zero_is_exact(self, small_points, bbox):
         ref = kde_naive(KDVProblem(small_points, bbox, (8, 6), BW, "gaussian"))
@@ -131,10 +207,6 @@ class TestBoundsBackend:
         w = rng.uniform(size=small_points.shape[0])
         with pytest.raises(ParameterError, match="weights"):
             kde_bounds(KDVProblem(small_points, bbox, SIZE, BW, "gaussian", weights=w))
-
-    def test_rejects_bad_index(self, small_points, bbox):
-        with pytest.raises(ParameterError, match="index"):
-            kde_bounds(KDVProblem(small_points, bbox, SIZE, BW, "gaussian"), index="rtree")
 
     def test_rejects_negative_eps(self, small_points, bbox):
         with pytest.raises(ParameterError):
@@ -298,11 +370,6 @@ class TestKdeGridParameterAudit:
 
     def test_seed_with_sampling_accepted(self, small_points, bbox):
         kde_grid(small_points, bbox, SIZE, BW, method="sampling", seed=1)
-
-    def test_index_with_dualtree_raises(self, small_points, bbox):
-        with pytest.raises(ParameterError, match="index.*bounds"):
-            kde_grid(small_points, bbox, SIZE, BW, method="dualtree",
-                     index="balltree")
 
     def test_workers_with_grid_raises(self, small_points, bbox):
         with pytest.raises(ParameterError, match="workers"):

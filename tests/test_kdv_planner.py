@@ -91,7 +91,7 @@ class TestAutoKwargsBugfix:
 
     HINTS = {
         "eps": 0.2, "delta": 0.2, "sample": 40, "seed": 7,
-        "index": "kdtree", "tau": 0.05, "workers": 2, "backend": "serial",
+        "tau": 0.05, "workers": 2, "backend": "serial",
         "dtype": "float32",
     }
 

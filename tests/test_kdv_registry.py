@@ -34,7 +34,6 @@ class TestDerivedTables:
             "delta": ("sampling",),
             "sample": ("sampling",),
             "seed": ("sampling",),
-            "index": ("bounds",),
             "tau": ("dualtree",),
             "workers": ("naive", "dualtree"),
             "backend": ("naive", "dualtree"),

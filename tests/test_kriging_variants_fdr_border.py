@@ -14,7 +14,7 @@ from repro.core.kfunction import border_ripley_k, ripley_k
 from repro.data import csr, thomas
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
-from repro.index import GridIndex, KDTree, threshold_counts
+from repro.index import GridIndex, threshold_counts
 
 
 @pytest.fixture(scope="module")
@@ -141,18 +141,17 @@ class TestBorderRipleyK:
         border = border_ripley_k(pts, ts, self.BBOX)
         assert np.abs(border - truth).sum() < np.abs(plain - truth).sum()
 
-    @pytest.mark.parametrize("method", ["naive", "grid", "kdtree"])
+    @pytest.mark.parametrize("method", ["naive", "grid"])
     def test_methods_agree(self, method):
         # The brute-force definition, with its pair counts taken from a dense
-        # distance matrix or from threshold_counts over either index.
+        # distance matrix or from threshold_counts over a grid index.
         pts = csr(300, self.BBOX, seed=512)
         ts = np.array([0.0, 0.5, 1.5])
         if method == "naive":
             d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
             counts = (d[:, :, None] <= ts).sum(axis=1)
         else:
-            index = GridIndex(pts, 1.5) if method == "grid" else KDTree(pts)
-            counts = threshold_counts(index, pts, ts)
+            counts = threshold_counts(GridIndex(pts, 1.5), pts, ts)
         margin = np.minimum.reduce([pts[:, 0], 20.0 - pts[:, 0],
                                     pts[:, 1], 12.0 - pts[:, 1]])
         want = [self.BBOX.area / 300 * (counts[margin >= s, d] - 1).mean()

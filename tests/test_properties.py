@@ -13,7 +13,7 @@ from repro.core.kdv.sweep import kde_sweep
 from repro.core.kernels import KERNELS
 from repro.core.kfunction import k_function, st_k_function
 from repro.geometry import BoundingBox, pairwise_distances
-from repro.index import BallTree, GridIndex, KDTree
+from repro.index import GridIndex, KDTree
 
 # Coordinates in a modest range keep distances well-conditioned.
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, width=64)
@@ -59,14 +59,6 @@ class TestIndexProperties:
         tree = KDTree(pts, leaf_size=4)
         assert set(tree.range_indices(q, r).tolist()) == brute_range(pts, q, r)
         assert tree.range_count(q, r) == len(brute_range(pts, q, r))
-
-    @given(points_and_query())
-    @example(BOUNDARY_ULP)
-    @settings(max_examples=60, deadline=None)
-    def test_balltree_matches_brute(self, data):
-        pts, q, r = data
-        tree = BallTree(pts, leaf_size=4)
-        assert set(tree.range_indices(q, r).tolist()) == brute_range(pts, q, r)
 
     @given(points_strategy, st.integers(min_value=1, max_value=10))
     @settings(max_examples=40, deadline=None)
