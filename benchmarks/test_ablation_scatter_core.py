@@ -23,7 +23,11 @@ plan / workload, so each ratio isolates exactly the kernel-scatter core:
   published ``table.max_abs_error * sum|w| + 1e-5 * max`` contract
   (the float32 mode halves surface memory; on polynomial kernels its
   table lookup is not faster than direct evaluation, and the row
-  records that honestly).
+  records that honestly);
+* a wide-patch gridcut row (Epanechnikov, 128x96, bandwidth 5% of the
+  window diagonal: the ``analyst_session`` rung the planner sends to
+  ``grid``), asserted bit-identical to the legacy per-point loop; its
+  time is reported, not gated.
 
 Besides the human-readable table the run emits
 ``benchmarks/results/BENCH_scatter_core.json``.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +64,10 @@ TAU = 1e-3
 # radius covers ~90x90-pixel patches here, where both loops are already
 # numpy-amortized and the comparison measures nothing).
 GRIDCUT_KERNEL = "quartic"
+# The wide-patch row: about 16x16-pixel windows, 20 batches per scatter.
+WIDE_KERNEL = "epanechnikov"
+WIDE_SIZE = (128, 96)
+WIDE_FRACTION = 0.05
 # Execute-phase wall time recorded by BENCH_dualtree_parallel.json at
 # workers=1 when PR 4 landed (the per-pair DFS this PR replaces).
 PR4_EXECUTE_SECONDS = 3.7997
@@ -312,6 +321,24 @@ def test_gridcut_scatter_core_float32(benchmark, crime_large):
     CHECKS["f32_error_bound"] = bound
 
 
+def test_gridcut_wide_patch(benchmark, crime_large):
+    bandwidth = WIDE_FRACTION * crime_large.bbox.diagonal
+    problem = KDVProblem(
+        crime_large.points, crime_large.bbox, WIDE_SIZE, bandwidth,
+        WIDE_KERNEL,
+    )
+    grid = benchmark.pedantic(kde_gridcut, args=(problem,),
+                              rounds=5, iterations=1)
+    TIMES["gridcut_wide_core"] = benchmark.stats.stats.mean
+    start = time.perf_counter()
+    legacy = _legacy_gridcut(
+        problem.points, problem.bbox, WIDE_SIZE, bandwidth, problem.kernel
+    )
+    TIMES["gridcut_wide_legacy"] = time.perf_counter() - start
+    assert np.array_equal(grid.values, legacy)
+    CHECKS["gridcut_wide_bit_identical"] = True
+
+
 def test_zz_report(benchmark):
     def report():
         legacy = TIMES["dualtree_execute_legacy"]
@@ -320,6 +347,8 @@ def test_zz_report(benchmark):
         g_legacy = TIMES["gridcut_legacy"]
         g_core = TIMES["gridcut_core_f64"]
         g_f32 = TIMES["gridcut_core_f32"]
+        w_legacy = TIMES["gridcut_wide_legacy"]
+        w_core = TIMES["gridcut_wide_core"]
         payload = {
             "experiment": "scatter_core",
             "n_events": 20_000,
@@ -346,12 +375,22 @@ def test_zz_report(benchmark):
                  "speedup_vs_float64": g_core / g_f32,
                  "max_abs_error": CHECKS["f32_max_abs_error"],
                  "error_bound": CHECKS["f32_error_bound"]},
+                {"stage": "gridcut_wide", "variant": "legacy_loop",
+                 "kernel": WIDE_KERNEL, "grid": list(WIDE_SIZE),
+                 "bandwidth_fraction_of_diagonal": WIDE_FRACTION,
+                 "seconds": w_legacy},
+                {"stage": "gridcut_wide", "variant": "scatter_core_float64",
+                 "mean_seconds": w_core,
+                 "speedup_vs_legacy": w_legacy / w_core,
+                 "bit_identical": bool(CHECKS["gridcut_wide_bit_identical"])},
             ],
             "checks": {
                 "dualtree_max_abs_diff_vs_legacy":
                     CHECKS["dualtree_max_abs_diff"],
                 "gridcut_float64_bit_identical":
                     bool(CHECKS["gridcut_bit_identical"]),
+                "gridcut_wide_float64_bit_identical":
+                    bool(CHECKS["gridcut_wide_bit_identical"]),
             },
         }
         RESULTS_DIR.mkdir(exist_ok=True)
@@ -377,6 +416,10 @@ def test_zz_report(benchmark):
              f"{g_core * 1e3:.0f} ms", f"{g_legacy / g_core:.2f}x"],
             ["gridcut", "scatter core f32 (bounded err)",
              f"{g_f32 * 1e3:.0f} ms", f"{g_legacy / g_f32:.2f}x"],
+            ["gridcut wide", "legacy per-point loop",
+             f"{w_legacy * 1e3:.0f} ms", "1.00x"],
+            ["gridcut wide", "scatter core f64 (bit-identical)",
+             f"{w_core * 1e3:.0f} ms", f"{w_legacy / w_core:.2f}x"],
         ]
         return record(
             "ablation_scatter_core",
@@ -385,7 +428,9 @@ def test_zz_report(benchmark):
             title=(
                 f"Ablation H: shared scatter core vs legacy loops, n=20000, "
                 f"grid {SIZE[0]}x{SIZE[1]}, b={BANDWIDTH} (dualtree: "
-                f"gaussian, tau={TAU}; gridcut: {GRIDCUT_KERNEL})"
+                f"gaussian, tau={TAU}; gridcut: {GRIDCUT_KERNEL}; gridcut "
+                f"wide: {WIDE_KERNEL}, {WIDE_SIZE[0]}x{WIDE_SIZE[1]}, b = "
+                f"{WIDE_FRACTION:g} x diagonal)"
             ),
         )
 

@@ -149,22 +149,28 @@ def _elementwise(problem: KDVProblem, xs: np.ndarray, ys: np.ndarray,
     chunk = max(1, _CHUNK_BYTES // (8 * pts.shape[0]))
 
     out = np.empty(queries.shape[0], dtype=np.float64)
+    # One workspace for every chunk: the squared distances, which the
+    # kernel overwrites with its values, and the y term.
+    rows = min(chunk, queries.shape[0])
+    d2_buf = np.empty((rows, pts.shape[0]))
+    dy_buf = np.empty((rows, pts.shape[0]))
     for start in range(0, queries.shape[0], chunk):
         q = queries[start:start + chunk]
+        m = q.shape[0]
         # Difference form, NOT the expanded |q|^2 + |p|^2 - 2 q.p: the
         # expansion loses ulps to cancellation exactly where d ~ the
         # kernel-support boundary, which silently flips boundary pixels —
         # this is the exactness reference, so it must get those right.
-        d2 = (q[:, 0][:, None] - pts[:, 0][None, :]) ** 2 + (
-            q[:, 1][:, None] - pts[:, 1][None, :]
-        ) ** 2
-        vals = problem.kernel.evaluate_sq(d2, problem.bandwidth)
+        d2 = np.subtract(q[:, 0][:, None], pts[:, 0][None, :], out=d2_buf[:m])
+        dy = np.subtract(q[:, 1][:, None], pts[:, 1][None, :], out=dy_buf[:m])
+        np.add(np.square(d2, out=d2), np.square(dy, out=dy), out=d2)
+        vals = problem.kernel.evaluate_sq(d2, problem.bandwidth, out=d2)
         # An elementwise product and row sum, not ``vals @ weights``: BLAS
         # gemv treats the trailing rows of a block differently, which
         # would make the bits depend on the chunk and band split.
         if weights is not None:
-            vals = vals * weights
-        out[start:start + q.shape[0]] = vals.sum(axis=1)
+            vals *= weights
+        out[start:start + m] = vals.sum(axis=1)
     obs.count("kdv.distance_evals", queries.shape[0] * pts.shape[0])
     return out.reshape(len(xs), len(ys))
 

@@ -8,7 +8,9 @@ as printed; the triangular, cosine and exponential kernels cover the
 
 A kernel exposes:
 
-* ``evaluate(d, b)`` / ``evaluate_sq(d2, b)`` — vectorised values,
+* ``evaluate(d, b)`` / ``evaluate_sq(d2, b, out=None)`` — vectorised
+  values; ``out`` (``d2`` itself allowed) takes them in place, bit for bit
+  the allocating form's,
 * ``support_radius(b)`` — the cutoff beyond which the kernel is zero
   (``inf`` for Gaussian/exponential),
 * ``integral(b)`` — the integral of the kernel over the plane, from which
@@ -34,7 +36,6 @@ __all__ = [
     "Kernel",
     "KernelTable",
     "build_kernel_table",
-    "clamp_non_negative",
     "temporal_expansion_matrix",
     "UniformKernel",
     "EpanechnikovKernel",
@@ -48,17 +49,24 @@ __all__ = [
 ]
 
 
-def clamp_non_negative(values: np.ndarray) -> np.ndarray:
-    """Clamp kernel values to ``>= 0`` against floating-point cancellation.
+def _buffer(d2, out) -> tuple[np.ndarray, np.ndarray]:
+    """``d2`` as float64 and the array to evaluate into: ``out`` or a new one."""
+    d2 = np.asarray(d2, dtype=np.float64)
+    return d2, np.empty_like(d2) if out is None else out
 
-    Finite-support kernels are mathematically non-negative on their
-    support, but evaluating them in float64 can dip a few ulp below zero
-    at the boundary (e.g. ``cos(pi*d/(2b))`` at ``d == b`` rounds to
-    ``~-1.6e-16``).  Negative densities violate the library's numerical
-    contract (and downstream ``log``/``sqrt`` consumers), so every
-    finite-support ``evaluate_sq`` routes its result through this clamp.
+
+def _falloff(x: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """``max(1 - x/scale, 0)`` into ``out``, the linear falloff of a disc.
+
+    ``x <= scale`` exactly when ``1 - x/scale >= 0`` (the division is
+    monotone), so ``fmax`` zeroes the outside of the disc, NaN included,
+    as ``where(x <= scale, 1 - x/scale, 0)`` clamped at 0 would: the same
+    bits, also at the boundary, where float cancellation could otherwise
+    leave a value a few ulp below zero.
     """
-    return np.maximum(values, 0.0)
+    np.divide(x, scale, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.fmax(out, 0.0, out=out)
 
 
 class Kernel(ABC):
@@ -75,8 +83,15 @@ class Kernel(ABC):
         return self.evaluate_sq(d * d, bandwidth)
 
     @abstractmethod
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
-        """Kernel value from *squared* distances (the fast path)."""
+    def evaluate_sq(self, d2, bandwidth: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Kernel value from *squared* distances (the fast path).
+
+        ``out`` — a float64 array shaped like ``d2``, or ``d2`` itself —
+        receives the values in place and is returned; they are the
+        allocating form's bits.  Finite-support kernels never return a
+        negative value.
+        """
 
     @abstractmethod
     def support_radius(self, bandwidth: float) -> float:
@@ -110,10 +125,11 @@ class UniformKernel(Kernel):
     name = "uniform"
     finite_support = True
 
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
+    def evaluate_sq(self, d2, bandwidth: float, out=None) -> np.ndarray:
         b = check_positive(bandwidth, "bandwidth")
-        d2 = np.asarray(d2, dtype=np.float64)
-        return np.where(d2 <= b * b, 1.0 / b, 0.0)
+        d2, out = _buffer(d2, out)
+        np.less_equal(d2, b * b, out=out)   # 1.0 inside the disc, else 0.0
+        return np.multiply(out, 1.0 / b, out=out)
 
     def support_radius(self, bandwidth: float) -> float:
         return check_positive(bandwidth, "bandwidth")
@@ -133,11 +149,10 @@ class EpanechnikovKernel(Kernel):
     name = "epanechnikov"
     finite_support = True
 
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
+    def evaluate_sq(self, d2, bandwidth: float, out=None) -> np.ndarray:
         b = check_positive(bandwidth, "bandwidth")
-        d2 = np.asarray(d2, dtype=np.float64)
-        vals = 1.0 - d2 / (b * b)
-        return clamp_non_negative(np.where(d2 <= b * b, vals, 0.0))
+        d2, out = _buffer(d2, out)
+        return _falloff(d2, b * b, out)
 
     def support_radius(self, bandwidth: float) -> float:
         return check_positive(bandwidth, "bandwidth")
@@ -157,18 +172,11 @@ class QuarticKernel(Kernel):
     name = "quartic"
     finite_support = True
 
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
+    def evaluate_sq(self, d2, bandwidth: float, out=None) -> np.ndarray:
         b = check_positive(bandwidth, "bandwidth")
-        d2 = np.asarray(d2, dtype=np.float64)
-        # ``(1 - d2/b^2)^2`` in one buffer, the scatter core's hot path.
-        # ``d2 <= b^2`` exactly when ``1 - d2/b^2 >= 0`` (the division
-        # is monotone), so ``fmax`` zeroes the outside of the disc, NaN
-        # included, as a ``where`` on ``d2 <= b^2`` would.
-        u = np.divide(d2, b * b, out=np.empty_like(d2))
-        np.subtract(1.0, u, out=u)
-        np.fmax(u, 0.0, out=u)
-        np.multiply(u, u, out=u)
-        return u
+        d2, out = _buffer(d2, out)
+        u = _falloff(d2, b * b, out)
+        return np.multiply(u, u, out=u)
 
     def support_radius(self, bandwidth: float) -> float:
         return check_positive(bandwidth, "bandwidth")
@@ -193,10 +201,12 @@ class GaussianKernel(Kernel):
     name = "gaussian"
     finite_support = False
 
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
+    def evaluate_sq(self, d2, bandwidth: float, out=None) -> np.ndarray:
         b = check_positive(bandwidth, "bandwidth")
-        d2 = np.asarray(d2, dtype=np.float64)
-        return np.exp(-d2 / (b * b))
+        d2, out = _buffer(d2, out)
+        # ``d2 / -b^2`` is ``-d2 / b^2`` bit for bit (rounding is symmetric).
+        np.divide(d2, -(b * b), out=out)
+        return np.exp(out, out=out)
 
     def support_radius(self, bandwidth: float) -> float:
         check_positive(bandwidth, "bandwidth")
@@ -218,10 +228,10 @@ class TriangularKernel(Kernel):
     name = "triangular"
     finite_support = True
 
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
+    def evaluate_sq(self, d2, bandwidth: float, out=None) -> np.ndarray:
         b = check_positive(bandwidth, "bandwidth")
-        d = np.sqrt(np.asarray(d2, dtype=np.float64))
-        return clamp_non_negative(np.where(d <= b, 1.0 - d / b, 0.0))
+        d2, out = _buffer(d2, out)
+        return _falloff(np.sqrt(d2, out=out), b, out)
 
     def support_radius(self, bandwidth: float) -> float:
         return check_positive(bandwidth, "bandwidth")
@@ -237,12 +247,19 @@ class CosineKernel(Kernel):
     name = "cosine"
     finite_support = True
 
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
+    def evaluate_sq(self, d2, bandwidth: float, out=None) -> np.ndarray:
         b = check_positive(bandwidth, "bandwidth")
-        d = np.sqrt(np.asarray(d2, dtype=np.float64))
-        return clamp_non_negative(
-            np.where(d <= b, np.cos(np.pi * d / (2.0 * b)), 0.0)
-        )
+        d2, out = _buffer(d2, out)
+        d = np.sqrt(d2, out=out)
+        # The cosine turns positive again past the disc, so the outside
+        # (NaN included) is masked before ``d`` is overwritten.
+        outside = ~(d <= b)
+        np.multiply(d, np.pi, out=out)
+        np.divide(out, 2.0 * b, out=out)
+        np.cos(out, out=out)
+        out[outside] = 0.0
+        # ``cos`` rounds to ~-1.6e-16 at ``d == b``: densities stay >= 0.
+        return np.maximum(out, 0.0, out=out)
 
     def support_radius(self, bandwidth: float) -> float:
         return check_positive(bandwidth, "bandwidth")
@@ -259,10 +276,12 @@ class ExponentialKernel(Kernel):
     name = "exponential"
     finite_support = False
 
-    def evaluate_sq(self, d2, bandwidth: float) -> np.ndarray:
+    def evaluate_sq(self, d2, bandwidth: float, out=None) -> np.ndarray:
         b = check_positive(bandwidth, "bandwidth")
-        d = np.sqrt(np.asarray(d2, dtype=np.float64))
-        return np.exp(-d / b)
+        d2, out = _buffer(d2, out)
+        np.sqrt(d2, out=out)
+        np.divide(out, -b, out=out)
+        return np.exp(out, out=out)
 
     def support_radius(self, bandwidth: float) -> float:
         check_positive(bandwidth, "bandwidth")

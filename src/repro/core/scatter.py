@@ -11,8 +11,9 @@ primitives here:
 * :class:`PatchScatter` — planar patch scatter of a point batch onto one
   or more ``(nx, ny)`` surfaces.  Events are batched into
   structure-of-arrays layout: one vectorised window computation, one
-  ``evaluate_sq`` call and one ordered ``np.add.at`` per batch (and
-  surface) instead of one of each per point.  The flat pixel indices are
+  in-place ``evaluate_sq`` call and one ordered ``np.add.at`` per batch
+  (and surface) instead of one of each per point, in one workspace per
+  call that every batch reuses.  The flat pixel indices are
   point-major, so every pixel still sums its contributions in **input
   order** and the ``dtype=float64`` default is bit-identical to the
   historical per-point loops — the worker-invariance and shared-STKDV
@@ -57,12 +58,12 @@ __all__ = [
 #: Accepted ``dtype=`` spellings for the two accuracy modes.
 SCATTER_DTYPES = ("float64", "float32")
 
-#: Patch-buffer element budget per evaluate_sq batch; it bounds the
-#: batch's temporaries (distances, patch, flat pixel indices).  The output
-#: does not depend on it — every pixel sums its contributions in input
-#: order however the batches split — and a fixed constant, never derived
-#: from worker count or machine size, keeps the ``scatter.buckets``
-#: counter identical everywhere.
+#: Patch-buffer element budget per evaluate_sq batch; it sizes the
+#: per-call workspace (distances, flat pixel indices, weighted block).
+#: The output does not depend on it — every pixel sums its contributions
+#: in input order however the batches split — and a fixed constant, never
+#: derived from worker count or machine size, keeps the
+#: ``scatter.buckets`` counter identical everywhere.
 _BATCH_ELEMS = 1 << 18
 
 #: Output-tile edge (pixels) used to bucket events in float32 mode; one
@@ -305,55 +306,82 @@ class PatchScatter:
         patch_pixels = int((widths * heights).sum())
         p_max = int(widths.max())
         q_max = int(heights.max())
-        batch = max(1, _BATCH_ELEMS // (p_max * q_max))
+        pq = p_max * q_max
+        batch = max(1, _BATCH_ELEMS // pq)
         offs_x = np.arange(p_max)
         offs_y = np.arange(q_max)
+        masked = self.truncated or (
+            self.table is not None and self.kernel.finite_support
+        )
+        # One workspace per call, reused by every batch: the distances
+        # (which the kernel overwrites with its values), the flat pixel
+        # indices, with weights the weighted block, and with a cutoff the
+        # truncation mask.  A single allocation: once glibc has served
+        # and freed it, its size sets the heap's mmap and trim thresholds,
+        # so later calls reuse the heap pages instead of faulting in
+        # fresh ones.
+        size = min(batch, live.size) * pq
+        n_blocks = 2 + (w is not None)
+        work = np.empty(n_blocks * 8 * size + masked * size, dtype=np.uint8)
+        d2_buf = work[:8 * size].view(np.float64)
+        pix_buf = work[8 * size:16 * size].view(np.int64)
+        if w is not None:
+            w_buf = work[16 * size:24 * size].view(np.float64)
+        far_buf = work[n_blocks * 8 * size:].view(bool)
+        # Flat pixel indices in C order are point-major: point by point in
+        # ``live`` order, each window row by row.  ``np.add.at`` is
+        # unbuffered and applies them in that order, so every pixel sums
+        # its contributions in the per-point loop's order.  Entry ``(a,
+        # b)`` of a window lies ``offsets[a, b]`` past its first pixel.
+        # A padding entry may point past the target, so the indices are
+        # clamped to it: padding adds ``-0.0``, a no-op on any pixel.
+        n_cols = y1 - y0
+        offsets = (offs_x[:, None] * n_cols + offs_y[None, :]).reshape(-1)
+        first = (ix_lo[live] - x0) * n_cols + (iy_lo[live] - y0)
+        last = flat.shape[1] - 1
+        # Each point's padding: the offsets past its own width and height.
+        pad_x = offs_x[None, :] >= widths[:, None]
+        pad_y = offs_y[None, :] >= heights[:, None]
 
         for c0 in range(0, live.size, batch):
             rows = live[c0:c0 + batch]
-            # Pad every window to the batch's largest, clipped to the
-            # clip; entries past a point's own window are blanked below.
+            nb = rows.size
+            # Every window is padded to the largest; entries past a
+            # point's own window are blanked below.
             cx = np.minimum(ix_lo[rows][:, None] + offs_x[None, :], x1 - 1)
             cy = np.minimum(iy_lo[rows][:, None] + offs_y[None, :], y1 - 1)
             lx = self._xs[cx] - pts[rows, 0][:, None]
             ly = self._ys[cy] - pts[rows, 1][:, None]
-            d2 = (lx ** 2)[:, :, None] + (ly ** 2)[:, None, :]
+            d2 = d2_buf[:nb * pq].reshape(nb, p_max, q_max)
+            np.add(np.square(lx, out=lx)[:, :, None],
+                   np.square(ly, out=ly)[:, None, :], out=d2)
+            if masked:
+                # Truncation is decided in float64 before the kernel
+                # overwrites ``d2``: the float32 mode covers exactly the
+                # pixels the float64 mode does.
+                far = np.greater(d2, self._r2,
+                                 out=far_buf[:nb * pq].reshape(d2.shape))
             if self.table is None:
-                patch = self.kernel.evaluate_sq(d2, self.bandwidth)
-                if self.truncated:
-                    patch = np.where(d2 <= self._r2, patch, 0.0)
+                patch = self.kernel.evaluate_sq(d2, self.bandwidth, out=d2)
             else:
                 patch = self.table.lookup_sq_clipped(d2.astype(np.float32))
-                if self.truncated or self.kernel.finite_support:
-                    # Truncation decided in float64 — the same test as
-                    # the float64 path, so the two modes cover exactly
-                    # the same pixels.
-                    patch = np.where(d2 <= self._r2, patch, np.float32(0.0))
-            del d2
-            # Flat pixel indices in C order are point-major: point by
-            # point in ``live`` order, each window row by row.
-            # ``np.add.at`` is unbuffered and applies them in that order,
-            # so every pixel sums its contributions in the per-point
-            # loop's order.  The clip offsets go in place: a small
-            # temporary here splits the heap chunk ``d2`` freed, and the
-            # large ``pix`` then lands on fresh pages.
-            cx -= x0
-            cx *= y1 - y0
-            cy -= y0
-            pix = (cx[:, :, None] + cy[:, None, :]).reshape(-1)
-            w_b = widths[c0:c0 + batch]
-            h_b = heights[c0:c0 + batch]
+            if masked:
+                patch[far] = 0.0
+            pix = pix_buf[:nb * pq]
+            np.add(first[c0:c0 + nb, None], offsets, out=pix.reshape(nb, pq))
+            np.minimum(pix, last, out=pix)
+            pads = pad_x[c0:c0 + nb], pad_y[c0:c0 + nb]
             if w is None:
-                _blank_padding(patch, w_b, h_b)
+                _blank_padding(patch, *pads)
                 for s in range(n_surfaces):
                     np.add.at(flat[s], pix, patch.reshape(-1))
             else:
-                weighted = np.empty(patch.shape)
+                weighted = w_buf[:nb * pq].reshape(patch.shape)
                 for s in range(n_surfaces):
                     # The loop's ``w * patch`` product, then the blanking
                     # (a negative weight would flip the sign of -0.0).
                     np.multiply(w[rows, s][:, None, None], patch, out=weighted)
-                    _blank_padding(weighted, w_b, h_b)
+                    _blank_padding(weighted, *pads)
                     np.add.at(flat[s], pix, weighted.reshape(-1))
         if copied:
             vals[...] = flat.reshape(vals.shape)
@@ -378,20 +406,18 @@ class PatchScatter:
         return x0, x1, y0, y1
 
 
-def _blank_padding(block: np.ndarray, widths: np.ndarray,
-                   heights: np.ndarray) -> None:
+def _blank_padding(block: np.ndarray, pad_x: np.ndarray,
+                   pad_y: np.ndarray) -> None:
     """Set the padding of a ``(B, p, q)`` patch block to ``-0.0`` in place.
 
     Row ``j`` of the block is point ``j``'s window padded to ``p x q``;
-    entries outside its own ``widths[j] x heights[j]`` corner become
-    ``-0.0``.  ``x + (-0.0)`` is ``x`` bit for bit for every float ``x``
-    (``+0.0`` included), so the padding scatters onto any pixel without
-    changing it.  Loops over padding offsets, which are few.
+    ``pad_x[j]`` (``p`` flags) and ``pad_y[j]`` (``q`` flags) mark the
+    offsets past its own width and height.  ``x + (-0.0)`` is ``x`` bit
+    for bit for every float ``x`` (``+0.0`` included), so the padding
+    scatters onto any pixel without changing it.  Two mask stores.
     """
-    for a in range(int(widths.min()), block.shape[1]):
-        block[widths <= a, a, :] = -0.0
-    for b in range(int(heights.min()), block.shape[2]):
-        block[heights <= b, :, b] = -0.0
+    block[pad_x] = -0.0
+    block.transpose(0, 2, 1)[pad_y] = -0.0
 
 
 def accumulate_rect_blocks(
@@ -441,13 +467,22 @@ def accumulate_rect_blocks(
         inv_b2 = 1.0 / (bandwidth * bandwidth)
     patch_pixels = 0
 
-    r0 = 0
-    while r0 < n_rects:
-        # Grow the chunk rect-by-rect up to the fixed contribution budget
-        # (always at least one rect, so huge groups still process).
+    # Grow each chunk rect-by-rect up to the fixed contribution budget
+    # (always at least one rect, so huge groups still process).
+    cuts = [0]
+    while cuts[-1] < n_rects:
+        r0 = cuts[-1]
         r1 = r0 + 1
         while r1 < n_rects and starts[r1 + 1] - starts[r0] <= _RECT_CHUNK:
             r1 += 1
+        cuts.append(r1)
+    if not separable:
+        # One distance buffer for every chunk, which the kernel overwrites
+        # with its values.
+        longest = int(np.diff(starts[cuts]).max())
+        d2_buf = np.empty(longest * rect_span * rect_span)
+
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
         a, z = int(starts[r0]), int(starts[r1])
         counts = (starts[r0 + 1:r1 + 1] - starts[r0:r1]).astype(np.int64)
         rect_of = np.repeat(np.arange(r0, r1), counts)
@@ -476,8 +511,12 @@ def accumulate_rect_blocks(
                 ] += block[:w_r, :h_r]
                 patch_pixels += w_r * h_r
         else:
-            d2 = u[:, :, None] ** 2 + v[:, None, :] ** 2
-            vals = kernel.evaluate_sq(d2, bandwidth)
+            d2 = d2_buf[:(z - a) * rect_span * rect_span].reshape(
+                z - a, rect_span, rect_span
+            )
+            np.add(np.square(u, out=u)[:, :, None],
+                   np.square(v, out=v)[:, None, :], out=d2)
+            vals = kernel.evaluate_sq(d2, bandwidth, out=d2)
             if pw is not None:
                 vals *= pw[a:z][:, None, None]
             sums = np.add.reduceat(vals, starts[r0:r1] - a, axis=0)
@@ -489,7 +528,6 @@ def accumulate_rect_blocks(
                     rx0[r] - jx0:rx1[r] - jx0, ry0[r] - jy0:ry1[r] - jy0
                 ] += sums[k, :w_r, :h_r]
                 patch_pixels += w_r * h_r
-        r0 = r1
     if obs.is_active():
         obs.count("scatter.points", int(px.shape[0]))
         obs.count("scatter.buckets", int(n_rects))

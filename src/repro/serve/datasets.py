@@ -70,14 +70,25 @@ def _as_times(times, n: int) -> np.ndarray:
     return ts
 
 
+def _grown(values: np.ndarray, capacity: int) -> np.ndarray:
+    """``values`` copied into the front of a new ``capacity``-row buffer."""
+    buf = np.empty((capacity,) + values.shape[1:], dtype=values.dtype)
+    buf[:values.shape[0]] = values
+    return buf
+
+
 class Dataset:
     """One named point set: fixed window, append-only contents.
 
     Thread-safe: ingests append under a lock, readers get defensive
     copies of the live contents.  ``version`` counts ingest batches
-    (creation is version 0); ``window`` (the ``points`` property) is what
-    :class:`~repro.serve.surfaces.MaintainedSurface` scatters and what
-    query execution feeds to :func:`~repro.core.request.execute_request`.
+    (creation is version 0); the ``points`` property is what query
+    execution feeds to :func:`~repro.core.request.execute_request`, and
+    :meth:`prefix` is what
+    :class:`~repro.serve.surfaces.MaintainedSurface` scatters.
+
+    Points and times live in buffers that grow by doubling, so an ingest
+    costs its own batch (amortised), not the whole dataset.
     """
 
     def __init__(self, name: str, points, times=None,
@@ -100,8 +111,9 @@ class Dataset:
         self.name = name
         self.bbox = bbox
         self._lock = threading.Lock()
+        self._n = pts.shape[0]
         self._pts = pts.copy()
-        self._ts = _as_times(times, pts.shape[0])
+        self._ts = _as_times(times, pts.shape[0]).copy()
         self.version = 0
         seed = hashlib.sha256()
         seed.update(name.encode("utf-8"))
@@ -114,19 +126,34 @@ class Dataset:
     def n(self) -> int:
         """Number of points currently in the dataset."""
         with self._lock:
-            return int(self._pts.shape[0])
+            return self._n
 
     @property
     def points(self) -> np.ndarray:
         """The full ``(n, 2)`` contents (a defensive copy)."""
         with self._lock:
-            return self._pts.copy()
+            return self._pts[:self._n].copy()
 
     @property
     def times(self) -> np.ndarray:
         """Event times aligned with :attr:`points` (a copy)."""
         with self._lock:
-            return self._ts.copy()
+            return self._ts[:self._n].copy()
+
+    def prefix(self, n: int) -> np.ndarray:
+        """Read-only view of the first ``n`` points, copying nothing.
+
+        Ingests only append, and a buffer that grows is copied into a new
+        one, so the view's contents never change.
+        """
+        with self._lock:
+            if not 0 <= n <= self._n:
+                raise ParameterError(
+                    f"prefix length {n} outside 0..{self._n}"
+                )
+            view = self._pts[:n]
+        view.flags.writeable = False
+        return view
 
     def points_since(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """``(points, times)`` appended at index ``start`` onward (copies).
@@ -136,7 +163,8 @@ class Dataset:
         exactly this suffix.
         """
         with self._lock:
-            return self._pts[start:].copy(), self._ts[start:].copy()
+            return (self._pts[start:self._n].copy(),
+                    self._ts[start:self._n].copy())
 
     def content_fingerprint(self) -> str:
         """Hash of the current contents, advanced by every ingest."""
@@ -162,8 +190,14 @@ class Dataset:
             )
         ts = _as_times(times, pts.shape[0])
         with self._lock:
-            self._pts = np.vstack([self._pts, pts])
-            self._ts = np.concatenate([self._ts, ts])
+            n, end = self._n, self._n + pts.shape[0]
+            if end > self._pts.shape[0]:
+                capacity = max(end, 2 * self._pts.shape[0])
+                self._pts = _grown(self._pts[:n], capacity)
+                self._ts = _grown(self._ts[:n], capacity)
+            self._pts[n:end] = pts
+            self._ts[n:end] = ts
+            self._n = end
             self.version += 1
             self._content.update(np.ascontiguousarray(pts).tobytes())
         return int(pts.shape[0])
@@ -171,7 +205,7 @@ class Dataset:
     def summary(self) -> dict:
         """JSON-safe description (the ``/v1/datasets`` row)."""
         with self._lock:
-            n = int(self._pts.shape[0])
+            n = self._n
             version = self.version
             content = self._content.hexdigest()[:16]
         return {

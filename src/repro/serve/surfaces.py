@@ -141,7 +141,7 @@ class MaintainedSurface:
         box = self.tile_bbox(*t)
         dx, dy = self.bbox.pixel_size(self.nx, self.ny)
         reach = self._scatterer.radius + max(dx, dy)
-        pts = self._dataset.points[:self.n_points]
+        pts = self._dataset.prefix(self.n_points)
         near = np.flatnonzero(
             (pts[:, 0] >= box.xmin - reach) & (pts[:, 0] <= box.xmax + reach)
             & (pts[:, 1] >= box.ymin - reach) & (pts[:, 1] <= box.ymax + reach)

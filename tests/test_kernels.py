@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kernels import KERNELS, get_kernel
 from repro.errors import ParameterError
@@ -162,3 +164,60 @@ class TestSpecificValues:
 
     def test_triangular_midpoint(self):
         assert KERNELS["triangular"].evaluate(1.0, 2.0) == pytest.approx(0.5)
+
+
+def _where_form(name, d2, b):
+    """Each kernel's textbook ``where``/clamp expression, evaluated apart."""
+    d = np.sqrt(d2)
+    return {
+        "uniform": lambda: np.where(d2 <= b * b, 1.0 / b, 0.0),
+        "epanechnikov": lambda: np.maximum(
+            np.where(d2 <= b * b, 1.0 - d2 / (b * b), 0.0), 0.0),
+        "quartic": lambda: np.where(
+            d2 <= b * b, (1.0 - d2 / (b * b)) ** 2, 0.0),
+        "gaussian": lambda: np.exp(-d2 / (b * b)),
+        "triangular": lambda: np.maximum(
+            np.where(d <= b, 1.0 - d / b, 0.0), 0.0),
+        "cosine": lambda: np.maximum(
+            np.where(d <= b, np.cos(np.pi * d / (2.0 * b)), 0.0), 0.0),
+        "exponential": lambda: np.exp(-d / b),
+    }[name]()
+
+
+class TestInPlaceEvaluation:
+    """``evaluate_sq(d2, b, out=)`` writes the allocating form's bits."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                       np.signbit(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(ALL_KERNELS),
+        b=st.floats(1e-3, 1e3),
+        extra=st.lists(st.floats(0.0, 1e300), max_size=30),
+        scaled=st.lists(st.floats(0.0, 30.0), max_size=30),
+    )
+    def test_in_place_equals_allocating_bit_for_bit(self, name, b, extra,
+                                                    scaled):
+        k = KERNELS[name]
+        b2 = b * b
+        d2 = np.array(
+            [0.0, b2, np.nextafter(b2, 0.0), np.nextafter(b2, np.inf),
+             1e300, np.inf] + extra + [f * b2 for f in scaled]
+        )
+        # The where forms take cos(inf) and square huge values outside
+        # the disc before discarding them.
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = k.evaluate_sq(d2, b)
+            # In place over d2 itself, into a separate buffer, and the
+            # allocating form against the kernel's textbook expression.
+            own = d2.copy()
+            assert k.evaluate_sq(own, b, out=own) is own
+            other = np.full_like(d2, np.nan)
+            assert k.evaluate_sq(d2, b, out=other) is other
+            reference = _where_form(name, d2, b)
+        assert self._same_bits(own, want)
+        assert self._same_bits(other, want)
+        assert self._same_bits(want, reference)

@@ -648,3 +648,67 @@ class TestPatchScatterValidation:
     def test_truncated_hoisted_into_init(self):
         assert PatchScatter(BBOX, (8, 8), 1.0, kernel="gaussian").truncated
         assert not PatchScatter(BBOX, (8, 8), 1.0, kernel="quartic").truncated
+
+
+class TestWorkspace:
+    """One workspace per call: clamped padding indices, bounded memory."""
+
+    @pytest.mark.parametrize("kernel_name", ["quartic", "gaussian"])
+    @pytest.mark.parametrize("dtype", SCATTER_DTYPES)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_padding_keeps_negative_zero_where_no_window_reaches(
+        self, monkeypatch, kernel_name, dtype, weighted
+    ):
+        # Small batches of windows cut at the raster's right and top
+        # edges: their padding runs past the raster, and the clamped
+        # indices land on pixels no window reaches, which must keep the
+        # sign bit of their -0.0.
+        monkeypatch.setattr(scatter_core, "_BATCH_ELEMS", 300)
+        size = (40, 32)
+        sc = PatchScatter(BBOX, size, 0.6, kernel=kernel_name, dtype=dtype)
+        rng = np.random.default_rng(8)
+        pts = np.vstack([
+            np.column_stack([rng.uniform(1, 4, 30), rng.uniform(1, 3, 30)]),
+            np.column_stack([rng.uniform(9.5, 10, 10), rng.uniform(1, 3, 10)]),
+            np.column_stack([rng.uniform(1, 3, 10), rng.uniform(7.5, 8, 10)]),
+        ])
+        w = rng.uniform(-1.0, 1.0, pts.shape[0]) if weighted else None
+        values = np.full(size, -0.0, dtype=dtype)
+        sc.scatter(values, pts, w)
+        reached = np.zeros(size, dtype=bool)
+        for xlo, xhi, ylo, yhi in zip(*sc.windows(pts)):
+            reached[xlo:xhi + 1, ylo:yhi + 1] = True
+        assert not reached[-1, -1] and reached.any()
+        assert (values[~reached] == 0.0).all()
+        assert np.signbit(values[~reached]).all()
+
+    @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_peak_memory_is_a_few_batch_buffers(self, kernel_name, weighted):
+        import tracemalloc
+
+        # 3,000 points whose windows are about 30x30 pixels: 11 batches.
+        # The workspace holds two batch buffers (distances, which the
+        # kernel overwrites, and flat indices) plus one with weights; the
+        # bound leaves one buffer of headroom for everything else.
+        bbox = BoundingBox(0.0, 0.0, 64.0, 48.0)
+        size = (128, 96)
+        reach = PatchScatter(bbox, size, 1.0, kernel=kernel_name).radius
+        sc = PatchScatter(bbox, size, 7.5 / reach, kernel=kernel_name)
+        rng = np.random.default_rng(0)
+        pts = np.column_stack([rng.uniform(0, 64, 3000),
+                               rng.uniform(0, 48, 3000)])
+        w = rng.uniform(0.5, 1.5, 3000) if weighted else None
+        windows = sc.windows(pts)
+        pq = int((windows[1] - windows[0]).max() + 1) * int(
+            (windows[3] - windows[2]).max() + 1)
+        assert 3000 / max(1, scatter_core._BATCH_ELEMS // pq) >= 10
+        values = np.zeros(size)
+        tracemalloc.start()
+        try:
+            sc.scatter(values, pts, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = 8 * scatter_core._BATCH_ELEMS
+        assert peak < (3 + weighted) * buffer

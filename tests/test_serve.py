@@ -227,6 +227,69 @@ class TestDataset:
         d.points[:] = -1.0
         np.testing.assert_array_equal(d.points, POINTS)
 
+    def test_many_small_ingests_equal_a_vstack(self):
+        rng = np.random.default_rng(7)
+        d = Dataset("d", POINTS, bbox=BBOX)
+        batches, times = [POINTS], [np.arange(POINTS.shape[0], dtype=float)]
+        for _ in range(2000):
+            batch = BBOX.sample_uniform(int(rng.integers(20, 51)), rng)
+            ts = rng.uniform(0.0, 1e6, batch.shape[0])
+            d.ingest(batch, times=ts)
+            batches.append(batch)
+            times.append(ts)
+        assert np.array_equal(d.points, np.vstack(batches))
+        assert np.array_equal(d.times, np.concatenate(times))
+        assert d.n == d.points.shape[0] == d.summary()["n"]
+        assert d.version == 2000
+
+    def test_prefix_view_is_read_only_and_stable(self):
+        d = Dataset("d", POINTS, bbox=BBOX)
+        view = d.prefix(POINTS.shape[0])
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = -1.0
+        # Later ingests append and regrow the buffer; the view keeps the
+        # prefix it was taken over.
+        for k in range(50):
+            d.ingest(np.full((40, 2), 1.0 + k / 10.0))
+        np.testing.assert_array_equal(view, POINTS)
+        np.testing.assert_array_equal(d.prefix(d.n)[:POINTS.shape[0]], POINTS)
+        with pytest.raises(ParameterError):
+            d.prefix(d.n + 1)
+
+    def test_concurrent_ingests_keep_prefix_views_stable(self):
+        import sys
+
+        d = Dataset("d", POINTS, bbox=BBOX)
+        views = []
+
+        def writer(k):
+            for _ in range(200):
+                d.ingest(np.full((7, 2), 1.0 + k))
+
+        def reader():
+            for _ in range(400):
+                views.append(d.prefix(d.n))
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(3)]
+        threads.append(threading.Thread(target=reader))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        final = d.points
+        assert final.shape[0] == POINTS.shape[0] + 3 * 200 * 7 == d.n
+        for k in range(3):
+            assert (final[:, 0] == 1.0 + k).sum() == 200 * 7
+        for view in views:
+            np.testing.assert_array_equal(view, final[:view.shape[0]])
+
     def test_store(self):
         store = DatasetStore()
         store.create("a", POINTS, bbox=BBOX)
