@@ -9,7 +9,7 @@ method        algorithm                                             result
 ============  ====================================================  ============
 ``auto``      cost-based planner over the exact family              as chosen
 ``grid``      support-cutoff scatter                                exact*
-``sweep``     SLAM-style sweep line, O(Y(X + n))                    exact
+``sweep``     SLAM-style sweep line, O(Y(X + n))                    exact***
 ``naive``     brute-force O(XYn) gather over row bands on workers   exact
 ``dualtree``  parallel tile-vs-node block refinement                |err|<=tau/2
 ``bounds``    dual tree with a per-tile relative budget             (1±eps)
@@ -21,6 +21,11 @@ method        algorithm                                             result
 ``1e-12`` kernel tail; the absolute error is bounded by ``n * 1e-12``.
 (**) exact for the *adaptive* estimator, which is a different surface
 from the fixed-bandwidth Definition 1.
+(***) polynomial kernels only; within ``((2m + 32) 27^k + 4(L/b + 1))
+eps K(0) W`` of the exact sum, where ``W`` and ``m`` are the weight and
+count of the points within ``4b + 2dx`` in x and ``b`` in y of the pixel
+(:mod:`repro.core.kdv.sweep`); empty pixels are exactly 0 and no pixel
+is negative.
 
 Each backend is one record of the private registry in
 :mod:`repro.core.kdv._registry`: which method-specific keywords it

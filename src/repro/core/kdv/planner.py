@@ -11,12 +11,11 @@ the kernel family.  ``kde_grid`` therefore plans, audits, then executes:
   dropped (with reasons), the predicted per-backend costs and a
   human-readable rationale;
 * a small calibrated :class:`CostModel` predicts per-backend wall time
-  from ``(n, nx*ny, bandwidth/pixel ratio, kernel family, workers)``
-  through each backend's record in :mod:`repro.core.kdv._registry`.
-  The shipped coefficients are seeded from the repository's own
-  benchmark artefacts (``benchmarks/results/BENCH_*.json`` and
-  ``ablation_kdv_methods.txt``) and can be refreshed from
-  :mod:`repro.obs` traces via :func:`calibrate`;
+  from ``(n, nx*ny, bandwidth/pixel ratio, band size, kernel family,
+  workers)`` through each backend's record in
+  :mod:`repro.core.kdv._registry`.  The shipped coefficients are
+  fitted to measured backend timings (see :class:`CostModel`) and can
+  be refreshed from :mod:`repro.obs` traces via :func:`calibrate`;
 * an LRU plan cache keyed by the problem signature lets repeated
   identical queries (the serve layer's hot case) skip planning
   entirely — see :func:`plan_cache_info` / :func:`clear_plan_cache`.
@@ -139,20 +138,41 @@ class CostModel:
 
     Each backend gets a closed-form cost in seconds built from a handful
     of named coefficients.  The default coefficients are *measured*, not
-    guessed — they are fitted to this repository's committed benchmark
-    artefacts:
+    guessed:
 
-    * ``naive_pp`` / ``sweep_unit`` — the per-unit slopes of the gather
-      and sweep rows of ``benchmarks/results/ablation_kdv_methods.txt``
-      (quartic kernel, 128x96 grid; e.g. naive 1.923 s / (4000 * 12288)
-      ≈ 3.9e-8 s per point-pixel distance evaluation);
+    * ``grid_pp``, ``naive_pp`` and ``dualtree_refine`` were refitted
+      together on one timing sweep of the current code (2k and 20k
+      ``chicago_crime`` points, 64x48 to 256x192 pixels, bandwidths 0.3%
+      to 15% of the diagonal, quartic, Epanechnikov and Gaussian, plus
+      Table 2's kernels and Ablation I's inputs; best of 2-3 calls, one
+      BLAS thread, 2-vCPU x86-64 host).  ``grid_pp`` is the median
+      seconds per point-patch pixel of the polynomial kernels' scatters
+      with more than 1e6 of them (1.0e-8); ``naive_pp`` the median
+      seconds per point-pixel of the non-Gaussian gathers (6-8e-9).  The
+      dual tree's default-``tau`` execute per ``npx log2 n`` spreads from
+      1e-8 to 5e-6 with the kernel's reach and the bandwidth (median
+      3e-7), and it was not the fastest on any input where all four
+      exact backends were timed; ``dualtree_refine`` sits in the upper
+      part of that range (2e-6), so ``auto`` plans it only where every
+      other price is far higher.  The three move together: with
+      ``grid_pp`` alone at its fitted value, Table 2's exponential
+      kernel, whose 1e-12 tail makes every patch the whole grid, plans
+      ``dualtree`` (433-459 ms) over ``grid`` (209-235 ms) and ``naive``
+      (219-236 ms);
+    * ``sweep_base`` / ``sweep_row`` / ``sweep_unit`` — a fit of the
+      sweep's price (a base, a cost per row, and ``sweep_unit`` per
+      window cell, about three per pixel, and per (row, point) pair
+      within the bandwidth of the row) to 96 quartic timings (2k, 8k and
+      20k ``chicago_crime`` points, 64x48 to 256x192 pixels, bandwidths
+      0.2% to 30% of the diagonal; best of 5, same host); predictions
+      fall within 0.4-1.6x of those timings, and Epanechnikov and
+      uniform sweeps run faster than the quartic price;
     * ``parallel_overhead`` — the fixed cost of each worker past the
       first; with k workers the divisible phase of ``naive`` and
       ``dualtree`` runs ``k ** 0.85`` times faster;
-    * ``dualtree_build`` / ``dualtree_refine`` — the plan and execute
-      phases of ``BENCH_dualtree_parallel.json`` /
-      ``BENCH_scatter_core.json`` (20k events, 256x192, gaussian,
-      tau=1e-3) divided by ``n log2 n`` and ``npx log2 n``;
+    * ``dualtree_build`` — the plan phase of
+      ``BENCH_dualtree_parallel.json`` / ``BENCH_scatter_core.json``
+      (20k events, 256x192, gaussian, tau=1e-3) divided by ``n log2 n``;
     * ``grid_f32_factor`` — the measured float32/float64 gridcut ratio
       of ``BENCH_scatter_core.json`` (the kernel-table mode pays
       bucketing overhead, it is not free);
@@ -175,7 +195,7 @@ class CostModel:
     """
 
     coefficients: Mapping[str, float] = field(default_factory=dict)
-    source: str = "seeded from benchmarks/results (PR 8)"
+    source: str = "fitted to measured backend timings"
 
     def coefficient(self, name: str) -> float:
         """One named coefficient, falling back to the shipped default."""
@@ -193,20 +213,21 @@ class CostModel:
 
 
 _DEFAULT_COEFFICIENTS: dict[str, float] = {
-    "naive_pp": 3.2e-8,
+    "naive_pp": 7.0e-9,
     "naive_factor": 6.1e-9,
     "naive_product": 5.5e-11,
     "parallel_overhead": 2.0e-3,
     "grid_base": 3.0e-4,
-    "grid_pp": 3.0e-9,
+    "grid_pp": 1.0e-8,
     "grid_px": 5.0e-9,
     "grid_f32_factor": 1.45,
     "grid_gauss_factor": 1.5,
-    "sweep_base": 8.0e-3,
-    "sweep_unit": 2.0e-8,
+    "sweep_base": 5.0e-4,
+    "sweep_row": 4.2e-5,
+    "sweep_unit": 4.2e-8,
     "dualtree_base": 2.0e-2,
     "dualtree_build": 1.4e-7,
-    "dualtree_refine": 5.1e-7,
+    "dualtree_refine": 2.0e-6,
     "sampling_base": 2.0e-2,
 }
 
@@ -255,6 +276,7 @@ def _problem_features(problem: KDVProblem, requested: Mapping[str, object],
     """Cost-model inputs from a problem plus the caller's keyword hints."""
     dx, dy = problem.bbox.pixel_size(problem.nx, problem.ny)
     radius = effective_radius(problem.kernel, problem.bandwidth)
+    coeffs = problem.kernel.poly_coeffs(problem.bandwidth)
     npx = problem.nx * problem.ny
     patch = min(float(npx),
                 math.pi * (radius / dx + 1.0) * (radius / dy + 1.0))
@@ -265,8 +287,12 @@ def _problem_features(problem: KDVProblem, requested: Mapping[str, object],
         "patch": patch,
         "bandwidth": float(problem.bandwidth),
         "kernel": problem.kernel.name,
-        "poly": problem.kernel.poly_coeffs(problem.bandwidth) is not None,
-        "sub_pixel": problem.bandwidth < 2.0 * max(dx, dy),
+        # Coefficients of the kernel as a polynomial in d^2 (0: not one).
+        "poly": 0 if coeffs is None else len(coeffs),
+        # Points within the bandwidth of a row, were they spread evenly
+        # over the window's height: the sweep's pairs per row.
+        "band": problem.n * min(1.0, 2.0 * problem.bandwidth
+                                / problem.bbox.height),
         "weighted": problem.weights is not None,
         "workers": workers,
         "dtype": requested.get("dtype"),
@@ -301,13 +327,14 @@ def _plan_key(problem: KDVProblem, requested: Mapping[str, object],
               workers: int) -> tuple:
     """Hashable problem signature for the LRU plan cache.
 
-    Two problems with the same shape (n, grid, bandwidth, kernel,
-    weightedness) and the same hints plan identically — the cost model
-    never looks at the coordinates themselves — so the signature
-    deliberately omits the point data.
+    Two problems with the same shape (n, grid, bandwidth, window size,
+    kernel, weightedness) and the same hints plan identically — the cost
+    model reads the window's size (pixel size, band height) but never the
+    coordinates themselves — so the signature omits the point data.
     """
     return (
         problem.n, problem.nx, problem.ny, float(problem.bandwidth),
+        problem.bbox.width, problem.bbox.height,
         problem.kernel.name, problem.weights is not None,
         tuple(sorted((k, str(v)) for k, v in requested.items()))
         if requested else (),

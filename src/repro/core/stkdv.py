@@ -356,6 +356,9 @@ def stkdv(
         if spatial_method == "auto":
             spatial_method = "grid"
     if spatial_method == "auto":
+        # A speed rule, not an accuracy one: below two pixels a point
+        # touches a few pixels, so its scatter beats a sweep that still
+        # pays for every row's window cells.
         dx, dy = bbox.pixel_size(nx, ny)
         use_sweep = (
             k_s.poly_coeffs(b_s) is not None and b_s >= 2.0 * max(dx, dy)
