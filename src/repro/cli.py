@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="deepest pyramid level served (default 4)",
     )
     srv.add_argument(
-        "--tile-cache", type=_positive_int, default=512,
-        help="tile cache capacity in entries (default 512)",
+        "--tile-cache-mb", type=_positive_int, default=12,
+        help="tile cache budget in MiB of encoded tile bodies (default 12)",
     )
     srv.add_argument(
         "--result-cache", type=_positive_int, default=128,
@@ -543,7 +543,7 @@ def _cmd_serve(args) -> int:
     service = AnalyticsService(config=ServeConfig(
         tile_px=args.tile_px,
         max_zoom=args.max_zoom,
-        tile_cache_capacity=args.tile_cache,
+        tile_cache_bytes=args.tile_cache_mb * 2**20,
         result_cache_capacity=args.result_cache,
         max_inflight=args.max_inflight,
         workers=args.workers,

@@ -160,20 +160,23 @@ class PatchScatter:
         px = points[:, 0]
         py = points[:, 1]
         radius = self.radius
-        ix_lo = np.maximum(
-            np.ceil((px - radius - self._xs[0]) / self._dx).astype(np.int64), 0
-        )
-        ix_hi = np.minimum(
-            np.floor((px + radius - self._xs[0]) / self._dx).astype(np.int64),
-            self.nx - 1,
-        )
-        iy_lo = np.maximum(
-            np.ceil((py - radius - self._ys[0]) / self._dy).astype(np.int64), 0
-        )
-        iy_hi = np.minimum(
-            np.floor((py + radius - self._ys[0]) / self._dy).astype(np.int64),
-            self.ny - 1,
-        )
+        # Clipped while still float: a reach past 2**63 pixels would
+        # overflow the int64 cast.  A bound past the raster's far side
+        # only has to stay there, so clipping to one pixel beyond leaves
+        # every window that meets the raster unchanged and every other
+        # one empty.
+        ix_lo = np.clip(
+            np.ceil((px - radius - self._xs[0]) / self._dx), 0, self.nx
+        ).astype(np.int64)
+        ix_hi = np.clip(
+            np.floor((px + radius - self._xs[0]) / self._dx), -1, self.nx - 1
+        ).astype(np.int64)
+        iy_lo = np.clip(
+            np.ceil((py - radius - self._ys[0]) / self._dy), 0, self.ny
+        ).astype(np.int64)
+        iy_hi = np.clip(
+            np.floor((py + radius - self._ys[0]) / self._dy), -1, self.ny - 1
+        ).astype(np.int64)
         return ix_lo, ix_hi, iy_lo, iy_hi
 
     def window_tiles(self, points: np.ndarray,

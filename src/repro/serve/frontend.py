@@ -24,6 +24,8 @@ GET      ``/v1/tile/<name>/<z>/<x>/<y>.ppm``  the same tile as a PPM heatmap
 
 Tile query parameters: ``bandwidth`` (required), ``kernel``, ``dtype``
 (``float64``, the default, or ``float32``), ``colormap`` (PPM only).
+Tile bodies are encoded here but cached by the service, one per format
+and colormap, so a tile hit sends cached bytes without encoding.
 Error mapping is uniform: :class:`~repro.errors.ServeError` → 404, any
 other :class:`~repro.errors.ReproError` → 400, everything else → 500, and
 the stdlib's protocol errors (a malformed request line, an unknown
@@ -39,13 +41,15 @@ ACK arrives (≈40 ms per response on Linux).
 
 from __future__ import annotations
 
+import functools
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import ParameterError, ReproError, ServeError
-from ..raster import render_rgb
-from .service import AnalyticsService
+from ..geometry import BoundingBox
+from ..raster import DensityGrid, render_rgb
+from .service import AnalyticsService, TileResult
 
 __all__ = ["create_server", "ReproRequestHandler"]
 
@@ -59,6 +63,17 @@ def _ppm_bytes(grid, colormap: str) -> bytes:
     image = render_rgb(grid, colormap)
     h, w, _ = image.shape
     return f"P6\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
+
+
+def _json_body(result: TileResult) -> bytes:
+    """A tile's JSON body, as :meth:`ReproRequestHandler._send_json` encodes."""
+    return json.dumps(result.to_payload()).encode("utf-8")
+
+
+def _ppm_body(result: TileResult, colormap: str) -> bytes:
+    """A tile's PPM heatmap body."""
+    grid = DensityGrid(BoundingBox(*result.bbox), result.values)
+    return _ppm_bytes(grid, colormap)
 
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
@@ -200,21 +215,21 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             raise ParameterError(
                 f"bandwidth must be a number, got {query['bandwidth']!r}"
             ) from exc
-        result = self.service.tile(
+        if fmt == "json":
+            body_fmt, encode = "json", _json_body
+            content_type = "application/json"
+        else:
+            colormap = query.get("colormap", "heat")
+            body_fmt = ("ppm", colormap)
+            encode = functools.partial(_ppm_body, colormap=colormap)
+            content_type = "image/x-portable-pixmap"
+        body = self.service.tile(
             name, zoom, tx, ty, bandwidth,
             kernel=query.get("kernel", "quartic"),
             dtype=query.get("dtype"),
+            fmt=body_fmt, encode=encode,
         )
-        if fmt == "json":
-            self._send_json(200, result.to_payload())
-            return
-        from ..geometry import BoundingBox
-        from ..raster import DensityGrid
-        grid = DensityGrid(BoundingBox(*result.bbox), result.values)
-        self._send(
-            200, _ppm_bytes(grid, query.get("colormap", "heat")),
-            content_type="image/x-portable-pixmap",
-        )
+        self._send(200, body, content_type=content_type)
 
     def _post(self) -> None:
         url = urlsplit(self.path)

@@ -4,10 +4,14 @@
 everything the HTTP front-end does is a thin translation onto these
 methods, and the test suite exercises them directly (no sockets needed):
 
-* :meth:`tile` — cached KDV pyramid tiles.  Cache keys carry the dataset
-  *identity* (stable across ingests), so invalidation is driven by the
-  maintained surfaces' sync reports: an ingest evicts exactly the tiles
-  whose pixels changed and leaves the rest of the pyramid warm.
+* :meth:`tile` — cached KDV pyramid tiles.  One cache entry per tile
+  holds the forms it was asked for: the :class:`TileResult` library
+  callers get, and the HTTP front-end's encoded bodies (a hit sends the
+  cached bytes).  The cache is bounded in bytes.  Its keys carry the
+  dataset *identity* (stable across ingests), so invalidation is driven
+  by the maintained surfaces' sync reports: an ingest evicts exactly the
+  tiles whose pixels changed, every form of each, and leaves the rest
+  of the pyramid warm.
 * :meth:`query` — full analytics through the unified
   :func:`~repro.core.request.execute_request` path.  Result-cache keys
   carry the dataset *content fingerprint*, so an ingest implicitly
@@ -24,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
@@ -57,11 +61,14 @@ class ServeConfig:
     bounds concurrently *executing* requests (``None`` → twice the
     resolved worker count, floor 4); excess requests queue on the
     admission semaphore and show up in the ``queue.depth`` gauge.
+    ``tile_cache_bytes`` bounds the tile cache by the bytes it holds:
+    encoded bodies, and the values of tiles :meth:`AnalyticsService.tile`
+    returned as :class:`TileResult`.
     """
 
     tile_px: int = 64
     max_zoom: int = 4
-    tile_cache_capacity: int = 512
+    tile_cache_bytes: int = 12 * 2**20
     result_cache_capacity: int = 128
     latency_window: int = 1024
     max_inflight: int | None = None
@@ -109,6 +116,19 @@ class TileResult:
         }
 
 
+#: The cache-entry form of a tile that :meth:`AnalyticsService.tile`
+#: returns as a :class:`TileResult`.
+_RESULT = "result"
+
+
+def _entry_bytes(entry: dict) -> int:
+    """Bytes one tile's cache entry holds: its bodies and result values."""
+    return sum(
+        value.values.nbytes if isinstance(value, TileResult) else len(value)
+        for value in entry.values()
+    )
+
+
 def _tile_dtype(dtype) -> str:
     """The canonical name of a tile dtype: ``"float64"`` or ``"float32"``."""
     try:
@@ -151,7 +171,8 @@ class AnalyticsService:
         self.config = config if config is not None else ServeConfig()
         self.store = store if store is not None else DatasetStore()
         self.stats = ServeStats(latency_window=self.config.latency_window)
-        self.tile_cache = LRUCache(self.config.tile_cache_capacity)
+        self.tile_cache = LRUCache(self.config.tile_cache_bytes)
+        self._tile_lock = threading.Lock()
         self.result_cache = LRUCache(self.config.result_cache_capacity)
         self.coalescer = Coalescer()
         self._admission = _Admission(self.stats, self.config.resolve_inflight())
@@ -185,14 +206,10 @@ class AnalyticsService:
         with self._admission, obs.Stopwatch() as sw:
             dataset = self.store.get(name)
             added = dataset.ingest(points, times=times)
-            invalidated = 0
-            for key, surface in self._surfaces_for(dataset.identity):
-                _, zoom, bandwidth, kernel, dtype = key
-                for tx, ty in surface.sync(dataset):
-                    invalidated += self.tile_cache.invalidate(
-                        key=("tile", dataset.identity, zoom, tx, ty,
-                             bandwidth, kernel, dtype)
-                    )
+            invalidated = sum(
+                self._evict_tiles(key, surface.sync(dataset))
+                for key, surface in self._surfaces_for(dataset.identity)
+            )
             self.stats.incr("ingest.batches")
             self.stats.incr("ingest.events", added)
             self.stats.incr("tile.invalidated", invalidated)
@@ -232,12 +249,22 @@ class AnalyticsService:
 
     def tile(self, name: str, zoom: int, tx: int, ty: int,
              bandwidth: float, kernel: str = "quartic",
-             dtype: str | None = None) -> TileResult:
+             dtype: str | None = None, *, fmt: Hashable = None,
+             encode: Callable[[TileResult], bytes] | None = None
+             ) -> TileResult | bytes:
         """One pyramid tile, served from cache when its pixels are current.
 
         Every NumPy spelling of float64 (the default, ``None``) or float32
-        keys one surface and one cache entry per tile.
+        keys one surface and one cache entry per tile.  The entry holds
+        each form of the tile asked for: the :class:`TileResult` this
+        returns by default, and any encoded body.  Given ``fmt`` (the
+        body's name, e.g. ``"json"`` or ``("ppm", colormap)``) and
+        ``encode``, the tile comes back as that body instead: a miss
+        encodes a freshly sliced :class:`TileResult` and caches only the
+        bytes.
         """
+        if (fmt is None) != (encode is None):
+            raise ParameterError("tile takes both of fmt/encode or neither")
         dtype = _tile_dtype(dtype)
         zoom = int(zoom)
         if not (0 <= zoom <= self.config.max_zoom):
@@ -251,29 +278,57 @@ class AnalyticsService:
             )
         tx = int(tx)
         ty = int(ty)
+        if fmt is None:
+            fmt, encode = _RESULT, lambda result: result
         with self._admission, obs.Stopwatch() as sw:
             dataset = self.store.get(name)
             key = ("tile", dataset.identity, zoom, tx, ty, bandwidth, kernel,
                    dtype)
-            result = self.tile_cache.get(key)
-            if result is not None:
+            value = self.tile_cache.get(key, {}).get(fmt)
+            if value is not None:
                 self.stats.incr("tile.cache_hit")
             else:
                 self.stats.incr("tile.cache_miss")
-                result, led = self.coalescer.run(
-                    key,
-                    lambda: self._compute_tile(
+                version = dataset.version
+                value, led = self.coalescer.run(
+                    (key, fmt),
+                    lambda: encode(self._compute_tile(
                         dataset, zoom, tx, ty, bandwidth, kernel, dtype
-                    ),
+                    )),
                 )
                 if led:
-                    self.tile_cache.put(key, result)
+                    self._cache_tile(dataset, version, key, fmt, value)
                     self.stats.incr("tile.computed")
                 else:
                     self.stats.incr("coalesce.waited")
         self.stats.incr("requests.total")
         self.stats.observe_latency("tile", sw.seconds)
-        return result
+        return value
+
+    def _cache_tile(self, dataset, version: int, key: tuple, fmt: Hashable,
+                    value) -> None:
+        """Add one form of a tile to its cache entry.
+
+        A value computed while an ingest landed is not kept: the ingest
+        may already have evicted this key.  Eviction and this merge hold
+        one lock, so neither loses the other's update.
+        """
+        with self._tile_lock:
+            if dataset.version != version:
+                return
+            entry = {**self.tile_cache.peek(key, {}), fmt: value}
+            self.tile_cache.put(key, entry, size=_entry_bytes(entry))
+
+    def _evict_tiles(self, surface_key: tuple, tiles) -> int:
+        """Evict tiles ``(tx, ty)`` of one surface, every form of each."""
+        identity, zoom, bandwidth, kernel, dtype = surface_key
+        with self._tile_lock:
+            return sum(
+                self.tile_cache.invalidate(key=(
+                    "tile", identity, zoom, tx, ty, bandwidth, kernel, dtype
+                ))
+                for tx, ty in tiles
+            )
 
     def _compute_tile(self, dataset, zoom: int, tx: int, ty: int,
                       bandwidth: float, kernel: str, dtype: str
@@ -285,14 +340,10 @@ class AnalyticsService:
         ``tile.render`` latency ring.
         """
         surface = self._surface(dataset, zoom, bandwidth, kernel, dtype)
-        dirty = surface.sync(dataset)
         # A sync here means ingests landed since the surface was last
         # read; those tiles' cached entries are stale — evict them.
-        for dtx, dty in dirty:
-            self.tile_cache.invalidate(
-                key=("tile", dataset.identity, zoom, dtx, dty, bandwidth,
-                     kernel, dtype)
-            )
+        self._evict_tiles((dataset.identity, zoom, bandwidth, kernel, dtype),
+                          surface.sync(dataset))
         bbox = surface.tile_bbox(tx, ty)
         with obs.Stopwatch() as sw:
             rendered = surface.render(tx, ty)
@@ -374,8 +425,11 @@ class AnalyticsService:
         snap = self.stats.snapshot()
         with self._surfaces_lock:
             n_surfaces = len(self._surfaces)
+        tile_cache = self.tile_cache.stats()
+        tile_cache["bytes"] = tile_cache.pop("held")
+        tile_cache["capacity_bytes"] = tile_cache.pop("capacity")
         snap.update({
-            "tile_cache": self.tile_cache.stats(),
+            "tile_cache": tile_cache,
             "result_cache": self.result_cache.stats(),
             "coalescer": {
                 "inflight": self.coalescer.inflight(),

@@ -105,6 +105,24 @@ class TestBackendAgreement:
         got = kde_sweep(KDVProblem(small_points, bbox, SIZE, big, "quartic"))
         assert got.max_abs_difference(ref) < 1e-7 * ref.max
 
+    @pytest.mark.parametrize("bandwidth", [1e19, 1e300])
+    def test_bandwidth_past_int64_pixels(self, bandwidth):
+        """A reach past 2**63 pixels covers the raster, not nothing.
+
+        The scatter windows once cast unclipped bounds to int64, which
+        overflowed and left every window empty: an all-zero surface.
+        """
+        crime = chicago_crime(500, seed=0)
+        surfaces = {
+            method: kde_grid(crime.points, crime.bbox, (32, 24), bandwidth,
+                             kernel="quartic", method=method).values
+            for method in ("grid", "naive", "sweep")
+        }
+        np.testing.assert_array_equal(surfaces["grid"], surfaces["naive"])
+        np.testing.assert_allclose(surfaces["sweep"], surfaces["naive"],
+                                   rtol=1e-12)
+        assert surfaces["naive"].min() == 500.0
+
     def test_tiny_bandwidth(self, small_points, bbox):
         """Sub-pixel bandwidths stress the sweep's polynomial cancellation.
 

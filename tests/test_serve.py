@@ -3,12 +3,16 @@
 import http.client
 import io
 import json
+import sys
 import threading
 import urllib.request
+from collections import OrderedDict
 from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import DataError, ParameterError, ReproError, ServeError
@@ -21,7 +25,7 @@ from repro.serve import (
     ServeConfig,
     create_server,
 )
-from repro.serve.frontend import ReproRequestHandler
+from repro.serve.frontend import ReproRequestHandler, _ppm_bytes
 
 BBOX = repro.BoundingBox(0.0, 0.0, 8.0, 8.0)
 RNG = np.random.default_rng(42)
@@ -89,6 +93,83 @@ class TestLRUCache:
         assert stats["misses"] == 1
         assert stats["size"] == 1
         assert stats["capacity"] == 2
+
+    def test_sized_entries_evict_by_total_size(self):
+        cache = LRUCache(10)
+        cache.put("a", b"aaaa", size=4)
+        cache.put("b", b"bbbb", size=4)
+        cache.get("a")          # "b" is now the LRU entry
+        cache.put("c", b"ccc", size=3)
+        assert cache.peek("b") is None
+        assert cache.stats()["held"] == 7
+        cache.put("a", b"a", size=1)   # a replacement frees its old size
+        assert cache.stats()["held"] == 4
+
+    def test_entry_larger_than_capacity_is_not_kept(self):
+        cache = LRUCache(10)
+        cache.put("a", 1, size=4)
+        cache.put("b", 2, size=4)
+        cache.put("b", 3, size=11)
+        assert cache.peek("b") is None   # dropped, older value included
+        assert cache.peek("a") == 1      # nothing else was evicted
+        assert cache.stats()["held"] == 4
+
+    def test_peek_leaves_recency_and_counts(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1
+        cache.put("c", 3)       # "a" is still the LRU entry
+        assert cache.peek("a") is None
+        stats = cache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 20),
+        sized=st.booleans(),
+        ops=st.lists(st.tuples(
+            st.sampled_from(["put", "get", "invalidate", "clear"]),
+            st.integers(0, 5),
+            st.integers(0, 12),
+        ), max_size=60),
+    )
+    def test_matches_an_lru_model(self, capacity, sized, ops):
+        """Held size is the sum of the entries' sizes, within capacity;
+        eviction takes the least recently used first; without sizes every
+        entry counts 1, so capacity is an entry count."""
+        cache = LRUCache(capacity)
+        model: OrderedDict = OrderedDict()   # key -> size, LRU first
+        for op, key, size in ops:
+            if op == "put":
+                if sized:
+                    cache.put(key, (key, size), size=size)
+                else:
+                    size = 1
+                    cache.put(key, (key, size))
+                model.pop(key, None)
+                if size <= capacity:
+                    model[key] = size
+                    while sum(model.values()) > capacity:
+                        model.popitem(last=False)
+            elif op == "get":
+                value = cache.get(key)
+                if key in model:
+                    model.move_to_end(key)
+                    assert value == (key, model[key])
+                else:
+                    assert value is None
+            elif op == "invalidate":
+                assert cache.invalidate(key=key) == int(
+                    model.pop(key, None) is not None)
+            else:
+                assert cache.clear() == len(model)
+                model.clear()
+            held = cache.stats()["held"]
+            assert held == sum(model.values()) <= capacity
+            assert {k for k in range(6) if cache.peek(k) is not None} \
+                == set(model)
+            assert len(cache) == len(model)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +558,154 @@ class TestServiceTiles:
         with pytest.raises(ParameterError, match="dtype"):
             make_service().tile("d", 1, 0, 0, bandwidth=0.8, dtype=dtype)
 
+    def test_fmt_and_encode_go_together(self):
+        service = make_service()
+        with pytest.raises(ParameterError, match="fmt/encode"):
+            service.tile("d", 1, 0, 0, bandwidth=0.8, fmt="json")
+        with pytest.raises(ParameterError, match="fmt/encode"):
+            service.tile("d", 1, 0, 0, bandwidth=0.8, encode=bytes)
+
+    def test_bodies_share_the_tile_entry(self):
+        """Each format is encoded once; the entry holds only what was asked."""
+        service = make_service()
+        encoded = []
+
+        def encoder(name):
+            def encode(result):
+                encoded.append(name)
+                return f"{name}:{result.values.sum()!r}".encode()
+            return encode
+
+        for _ in range(2):
+            for name in ("a", "b"):
+                body = service.tile("d", 1, 0, 0, bandwidth=0.8, fmt=name,
+                                    encode=encoder(name))
+                assert body.startswith(name.encode())
+        assert encoded == ["a", "b"]
+        key = ("tile", service.store.get("d").identity, 1, 0, 0, 0.8,
+               "quartic", "float64")
+        assert len(service.tile_cache) == 1
+        entry = service.tile_cache.peek(key)
+        assert set(entry) == {"a", "b"}   # no TileResult kept beside them
+        stats = service.stats_snapshot()["tile_cache"]
+        assert stats["bytes"] == sum(len(body) for body in entry.values())
+
+    def test_ingest_evicts_every_format_of_dirty_tiles_only(self):
+        service = make_service()
+        formats = ("json", ("ppm", "heat"), ("ppm", "gray"))
+
+        def fetch(tx, ty):
+            return {
+                fmt: service.tile("d", 1, tx, ty, bandwidth=0.4, fmt=fmt,
+                                  encode=lambda r: r.values.tobytes())
+                for fmt in formats
+            }
+
+        tiles = [(tx, ty) for tx in range(2) for ty in range(2)]
+        before = {t: fetch(*t) for t in tiles}
+        service.ingest("d", np.array([[1.5, 1.5], [1.6, 1.4], [1.4, 1.6]]))
+        computed = service.stats.counter("tile.computed")
+        after = {t: fetch(*t) for t in tiles}
+        recomputed = service.stats.counter("tile.computed") - computed
+        dirty = {t for t in tiles if after[t] != before[t]}
+        assert (0, 0) in dirty and (1, 1) not in dirty
+        # A dirty tile recomputes every format; a clean one serves each
+        # from cache, the very bytes it served before.
+        assert recomputed == len(dirty) * len(formats)
+        for t in set(tiles) - dirty:
+            for fmt in formats:
+                assert after[t][fmt] is before[t][fmt]
+
+    def test_reads_racing_ingests_cache_no_stale_body(self):
+        """Readers of three formats race an ingesting thread; afterwards
+        every cached body encodes its tile's current pixels, and the
+        cache's byte count is the sum of its bodies."""
+        service = make_service(max_inflight=16)
+        formats = ("a", "b", "c")
+        tiles = [(tx, ty) for tx in range(2) for ty in range(2)]
+        rng = np.random.default_rng(3)
+        batches = [BBOX.sample_uniform(3, rng) for _ in range(30)]
+        errors = []
+
+        def encode(result):
+            return result.values.tobytes()
+
+        def reader(seed):
+            pick = np.random.default_rng(seed)
+            try:
+                for _ in range(300):
+                    tx, ty = tiles[pick.integers(len(tiles))]
+                    fmt = formats[pick.integers(len(formats))]
+                    service.tile("d", 1, tx, ty, bandwidth=0.8, fmt=fmt,
+                                 encode=encode)
+            except BaseException as exc:
+                errors.append(exc)
+
+        def ingester():
+            try:
+                for batch in batches:
+                    service.ingest("d", batch)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(4)]
+        threads.append(threading.Thread(target=ingester))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        dataset = service.store.get("d")
+        surface = service._surface(dataset, 1, 0.8, "quartic", "float64")
+        surface.sync(dataset)
+        held = 0
+        for tx, ty in tiles:
+            key = ("tile", dataset.identity, 1, tx, ty, 0.8, "quartic",
+                   "float64")
+            entry = service.tile_cache.peek(key, {})
+            for body in entry.values():
+                assert body == surface.tile_values(tx, ty).tobytes()
+                held += len(body)
+        assert service.stats_snapshot()["tile_cache"]["bytes"] == held
+
+    def test_ingest_during_a_miss_is_not_cached_over(self):
+        """An ingest that lands between slicing a tile and caching it has
+        already evicted the key; the stale body must not be cached."""
+        service = make_service()
+        real_compute = service._compute_tile
+
+        def compute_then_ingest(*args):
+            result = real_compute(*args)
+            service.ingest("d", np.array([[1.5, 1.5], [1.6, 1.4]]))
+            return result
+
+        service._compute_tile = compute_then_ingest
+        stale = service.tile("d", 1, 0, 0, bandwidth=0.4, fmt="raw",
+                             encode=lambda r: r.values.tobytes())
+        service._compute_tile = real_compute
+        fresh = service.tile("d", 1, 0, 0, bandwidth=0.4, fmt="raw",
+                             encode=lambda r: r.values.tobytes())
+        assert fresh != stale
+        assert service.stats.counter("tile.computed") == 2
+
+    def test_cached_bytes_stay_within_budget(self):
+        budget = 3 * 32 * 32 * 8 + 100   # three float64 tile bodies and change
+        service = make_service(tile_cache_bytes=budget)
+        for tx in range(4):
+            for ty in range(4):
+                service.tile("d", 2, tx, ty, bandwidth=0.8, fmt="raw",
+                             encode=lambda r: r.values.tobytes())
+                stats = service.stats_snapshot()["tile_cache"]
+                assert stats["bytes"] <= stats["capacity_bytes"] == budget
+        assert stats["size"] == 3 and stats["evictions"] == 13
+
 
 class TestServiceQuery:
     def test_query_kdv_and_result_cache(self):
@@ -585,6 +814,29 @@ class TestHTTPFrontend:
         stats = json.loads(body)
         assert status == 200
         assert "counters" in stats and "tile_cache" in stats
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_served_bodies_equal_fresh_encodings(self, http_server, dtype):
+        """Miss and hit alike, every body is the bytes a fresh service's
+        TileResult encodes to."""
+        base, service = http_server
+        fresh = make_service()
+        for tx, ty in [(0, 0), (1, 1)]:
+            ref = fresh.tile("d", 1, tx, ty, bandwidth=0.8, dtype=dtype)
+            grid = repro.DensityGrid(repro.BoundingBox(*ref.bbox), ref.values)
+            expected = {
+                "json": json.dumps(ref.to_payload()).encode(),
+                "ppm?colormap=heat": _ppm_bytes(grid, "heat"),
+                "ppm?colormap=viridis": _ppm_bytes(grid, "viridis"),
+            }
+            for _ in ("miss", "hit"):
+                for suffix, body in expected.items():
+                    sep = "&" if "?" in suffix else "?"
+                    path = (f"/v1/tile/d/1/{tx}/{ty}.{suffix}{sep}"
+                            f"bandwidth=0.8&dtype={dtype}")
+                    assert _get(base, path)[2] == body, path
+        counters = service.stats_snapshot()["counters"]
+        assert counters["tile.cache_miss"] == counters["tile.cache_hit"] == 6
 
     def test_tile_json_and_ppm(self, http_server):
         base, _ = http_server
