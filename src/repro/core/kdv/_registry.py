@@ -17,6 +17,7 @@ from .adaptive import kde_adaptive
 from .bounds import kde_bounds
 from .dualtree import kde_dualtree
 from .gridcut import kde_gridcut
+from .naive import _band_count as naive_band_count
 from .naive import kde_naive
 from .sampling import kde_sampling
 from .sweep import kde_sweep
@@ -64,8 +65,8 @@ def _logn(f: Features) -> float:
     return math.log2(max(_n(f), 2.0))
 
 
-def _speedup(f: Features) -> float:
-    return max(1.0, float(f.get("workers", 1)) ** PARALLEL_EFFICIENCY_EXPONENT)
+def _speedup(workers: float) -> float:
+    return max(1.0, workers ** PARALLEL_EFFICIENCY_EXPONENT)
 
 
 def _grid_cost(c, f: Features) -> float:
@@ -79,16 +80,21 @@ def _grid_cost(c, f: Features) -> float:
 
 
 def _naive_cost(c, f: Features) -> float:
-    # Each worker past the first pays a fixed dispatch overhead, so a tiny
-    # problem is not fanned out just because workers are available.
-    overhead = c("parallel_overhead") * (float(f.get("workers", 1)) - 1.0)
+    # The tasks are row bands, so workers past the band count add
+    # nothing.  Each task past the first pays a fixed dispatch overhead,
+    # so a tiny problem is not fanned out just because workers are
+    # available.
+    bands = naive_band_count(f["kernel"] == "gaussian", int(f["n"]),
+                             int(f["nx"]), int(f["ny"]))
+    tasks = min(float(f.get("workers", 1)), bands)
+    overhead = c("parallel_overhead") * (tasks - 1.0)
     if f["kernel"] != "gaussian":
-        return overhead + c("naive_pp") * _n(f) * _npx(f) / _speedup(f)
+        return overhead + c("naive_pp") * _n(f) * _npx(f) / _speedup(tasks)
     # The separable gather: every worker builds the whole x-table, and
     # the y-factors and the products split over the workers.
     return (overhead + c("naive_factor") * _n(f) * float(f["nx"])
             + (c("naive_factor") * _n(f) * float(f["ny"])
-               + c("naive_product") * _n(f) * _npx(f)) / _speedup(f))
+               + c("naive_product") * _n(f) * _npx(f)) / _speedup(tasks))
 
 
 def _naive_calibrates(f: Features) -> str:
@@ -96,12 +102,16 @@ def _naive_calibrates(f: Features) -> str:
 
 
 def _sweep_cost(c, f: Features) -> float:
-    # Each row pays a fixed cost, its window cells (about 3 per pixel)
-    # and one (row, point) pair per point within the bandwidth of the row.
-    # The coefficients were fitted on the quartic (3 coefficients in d^2);
-    # Epanechnikov and uniform sweeps measure 0.64-0.74x and 0.39-0.45x.
+    # Every point pays a share: it is filtered, sorted and expanded
+    # before the first row, and thin bands' row batches evaluate more
+    # pairs than the band holds.  Then each row pays a fixed cost, its
+    # window cells (about 3 per pixel) and one (row, point) pair per
+    # point within the bandwidth of the row.  The row terms were fitted
+    # on the quartic (3 coefficients in d^2); Epanechnikov and uniform
+    # sweeps measure 0.64-0.74x and 0.39-0.45x.
     scale = (float(f["poly"]) + 1.0) / 4.0
-    return (c("sweep_base") + scale * float(f["ny"])
+    return (c("sweep_base") + c("sweep_point") * _n(f)
+            + scale * float(f["ny"])
             * (c("sweep_row") + c("sweep_unit")
                * (3.0 * float(f["nx"]) + float(f["band"]))))
 
@@ -116,7 +126,7 @@ def _tree_cost(c, f: Features, budget_factor: float) -> float:
     return (c("dualtree_base")
             + c("dualtree_build") * _n(f) * _logn(f)
             + c("dualtree_refine") * _npx(f) * _logn(f) * budget_factor
-            / _speedup(f))
+            / _speedup(float(f.get("workers", 1))))
 
 
 def _dualtree_cost(c, f: Features) -> float:

@@ -7,36 +7,42 @@ accelerated backend is tested against.
 
 It is also the library's instance of the paper's parallel/hardware
 family (the GPU/FPGA methods the tutorial surveys [50, 67, 105, 107]):
-the pixel grid is split into a fixed number of row bands that run on the
-shared executor (:mod:`repro.parallel`).  NumPy releases the GIL inside
-its vectorised kernels, so the ``thread`` backend gives real speedup
-without pickling.  The band split depends on the problem only and each
-band writes a disjoint output slice, so the result and the trace are the
-same for every worker count and backend.
+the pixel grid is split into row bands that run on the shared executor
+(:mod:`repro.parallel`).  NumPy releases the GIL inside its vectorised
+kernels, so the ``thread`` backend gives real speedup without pickling.
+The band split depends on the problem only and each band writes a
+disjoint output slice, so the result and the trace are the same for
+every worker count and backend.
 
-Every kernel but the Gaussian is gathered elementwise: within a band the
-pixels go in chunks sized so one ``(chunk, n)`` float64 temporary stays
-within a fixed byte budget, so memory stays bounded however many points
-there are.
+Every kernel but the Gaussian is gathered elementwise in a fixed 16 row
+bands: within a band the pixels go in chunks sized so one ``(chunk, n)``
+float64 temporary stays within a fixed byte budget, so memory stays
+bounded however many points there are.
 
 The Gaussian ``exp(-d^2/b^2)`` factorises as ``exp(-dx^2/b^2) *
 exp(-dy^2/b^2)`` — the computational sharing of the sweep line (SLAM
 [32]) applied to the kernel the sweep cannot take.  Its gather never
-forms the ``n * X * Y`` kernel values.  For each fixed chunk of points
-it builds an x-factor table ``(X, P)`` once, times the weights; each row
-band builds only its own y-factor rows and adds one BLAS product into
-its output columns.  Chunks are added in point order.  Each worker takes
-a run of whole bands, so the x-table is built once per worker, not per
-band.  Factors below ``sqrt(DBL_MIN)`` are set to zero, so no product
-is subnormal.  The result is exact up to float64 round-off but not
-bit-identical to the elementwise formula:
+forms the ``n * X * Y`` kernel values: the sum is one dense product of
+an x-factor table (pixel columns by points, times the weights) and a
+y-factor table (points by pixel rows), the regular arithmetic the
+hardware family exploits.  That product is cut into BLAS products of
+about the same size in all three dimensions (``tx`` x-rows, ``k``
+points, ``ty`` y-rows), all sized from the problem.  Per chunk of
+points the two tables are built once, in four passes where the
+bandwidth keeps every factor normal; each y-band takes one stacked
+product over (``k``-point slice, x-tile), and its slices are added in
+point order.  Workers take runs of whole y-bands, so each builds the
+x-table once.  Factors below ``sqrt(DBL_MIN)`` are set to zero, so no
+product is subnormal.  The result is exact up to float64 round-off but
+not bit-identical to the elementwise formula:
 ``|F_hat - F| <= 1e-12 * F + sqrt(DBL_MIN) * sum(max(w_i, 1))``, which
 is ``n * sqrt(DBL_MIN)`` unweighted.  It is bit-identical for every
-worker count and backend.
+worker count, backend and BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import partial
 
@@ -48,8 +54,9 @@ from .base import KDVProblem
 
 __all__ = ["kde_naive"]
 
-#: Row bands per grid: a constant, so the serial run and every k-worker
-#: run execute the same chunks.  It is also the ceiling on useful workers.
+#: Row bands of the elementwise gather: a constant, so the serial run and
+#: every k-worker run execute the same chunks.  It is also the ceiling on
+#: useful workers there.
 _BANDS = 16
 
 #: Bytes of one ``(chunk, n)`` float64 temporary in the elementwise
@@ -101,46 +108,48 @@ def _gather(problem: KDVProblem, xs: np.ndarray, ys: np.ndarray,
             workers: int | None = 1, backend: str | None = None) -> np.ndarray:
     """Exact ``(len(xs), len(ys))`` kernel sums at the pixel centres.
 
-    The pixel rows are split into at most :data:`_BANDS` bands; the split
-    depends on ``len(ys)`` only.  Each task takes a run of whole bands:
-    one band per task for the elementwise gather, and one run per worker
-    for the Gaussian, so it builds one x-table per worker, not per band.
-    Callers open the span: ``kdv.bands`` here, ``stkdv.frame`` for a
-    naive STKDV frame, which gathers serially inside its own worker.
+    The pixel rows are split into bands that depend on the problem only:
+    :data:`_BANDS` of them for the elementwise gather, one task each, and
+    the Gaussian's y-bands of :func:`_tiling`, one run of whole bands per
+    worker, so each worker builds the x-table once.  Callers open the
+    span: ``kdv.bands`` here, ``stkdv.frame`` for a naive STKDV frame,
+    which gathers serially inside its own worker.
     """
     ny = len(ys)
-    edges = np.linspace(0, ny, min(_BANDS, ny) + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    separable = problem.kernel.name == "gaussian"
-    if separable:
-        runs = np.array_split(np.arange(len(spans)),
-                              min(resolve_workers(workers), len(spans)))
-        task = partial(_separable, *_tiling(problem.n, len(xs), spans))
+    if problem.kernel.name == "gaussian":
+        tiling = _tiling(problem.n, len(xs), ny)
+        ty = tiling[3]
+        bands = _band_count(True, problem.n, len(xs), ny)
+        spans = [(int(run[0]) * ty, min(ny, (int(run[-1]) + 1) * ty))
+                 for run in np.array_split(
+                     np.arange(bands), min(resolve_workers(workers), bands))]
+        task = partial(_separable, tiling)
+        obs.count("kdv.factor_evals", problem.n * (len(xs) + ny))
     else:
-        runs = [[k] for k in range(len(spans))]
+        edges = np.linspace(0, ny, min(_BANDS, ny) + 1).astype(int)
+        spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
+                 if b > a]
         task = _elementwise
     parts = parallel_starmap(  # reprolint: disable=RPR015 (callers' span)
         task,
-        [(problem, xs, ys, [spans[k] for k in run]) for run in runs],
+        [(problem, xs, ys, span) for span in spans],
         workers=workers,
         backend=backend,
     )
-    if separable:
-        obs.count("kdv.factor_evals", problem.n * (len(xs) + ny))
     values = np.empty((len(xs), ny), dtype=np.float64)
-    for run, part in zip(runs, parts):
-        values[:, spans[run[0]][0]:spans[run[-1]][1]] = part
+    for (j_lo, j_hi), part in zip(spans, parts):
+        values[:, j_lo:j_hi] = part
     return values
 
 
 def _elementwise(problem: KDVProblem, xs: np.ndarray, ys: np.ndarray,
-                 spans: list) -> np.ndarray:
+                 span: tuple[int, int]) -> np.ndarray:
     """One band's kernel sums, one kernel value per point-pixel pair.
 
     Each pixel's sum is one row reduction over all points, so the result
     does not depend on how the pixels are chunked or banded.
     """
-    ((j_lo, j_hi),) = spans
+    j_lo, j_hi = span
     ys = ys[j_lo:j_hi]
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     queries = np.column_stack([gx.ravel(), gy.ravel()])
@@ -175,68 +184,120 @@ def _elementwise(problem: KDVProblem, xs: np.ndarray, ys: np.ndarray,
     return out.reshape(len(xs), len(ys))
 
 
-def _tiling(n: int, nx: int, spans: list) -> tuple[int, int, int]:
-    """``(chunk, tiles, tile)`` of the Gaussian gather, from the problem only.
+def _tiling(n: int, nx: int, ny: int) -> tuple[int, int, int, int]:
+    """``(chunk, k, tx, ty)`` of the Gaussian gather, from the problem only.
 
-    A chunk's two factor tables fill :data:`_CHUNK_BYTES`.  Each product
-    multiplies ``tile`` x-rows by one band's columns over the chunk; the
-    x-table is padded with zero rows to ``tiles`` whole tiles.
+    Each BLAS product multiplies ``tx`` x-rows by ``ty`` y-rows over ``k``
+    points.  ``tx`` and ``ty`` cut the grid into near-equal tiles of at
+    most the cube root of :data:`_PRODUCT_MACS` and at least 2, so every
+    product is a matrix product: OpenBLAS threads a matrix-vector
+    product or a dot at far smaller sizes.  ``k`` fills the product
+    budget.  The grid is padded to whole tiles and bands.  A chunk is
+    the most whole ``k``-slices whose two factor tables fit
+    :data:`_CHUNK_BYTES`, or the fewest that hold all ``n`` points.
     """
-    ny = spans[-1][1]
-    chunk = max(1, min(n, _CHUNK_BYTES // (8 * (nx + ny))))
-    widest = max(j_hi - j_lo for j_lo, j_hi in spans)
-    tiles = -(-nx // max(1, _PRODUCT_MACS // (chunk * widest)))
-    return chunk, tiles, -(-nx // tiles)
+    side = 1 << (_PRODUCT_MACS.bit_length() - 1) // 3
+    tx, ty = (max(2, -(-size // -(-size // side))) for size in (nx, ny))
+    padded = tx * -(-nx // tx) + ty * -(-ny // ty)
+    budget = max(1, _CHUNK_BYTES // (8 * padded))
+    k = max(1, min(budget, n, _PRODUCT_MACS // (tx * ty)))
+    return k * max(1, min(-(-n // k), budget // k)), k, tx, ty
 
 
-def _separable(chunk: int, tiles: int, tile: int, problem: KDVProblem,
-               xs: np.ndarray, ys: np.ndarray, spans: list) -> np.ndarray:
-    """Gaussian kernel sums of a run of adjacent bands.
+def _band_count(gaussian: bool, n: int, nx: int, ny: int) -> int:
+    """Row bands of the gather: the most workers it can use at once."""
+    if gaussian:
+        return -(-ny // _tiling(n, nx, ny)[3])
+    return min(_BANDS, ny)
 
-    Per chunk of points: one x-table, then each band's own y-rows and one
-    product into its columns.  Chunks are added in point order, and every
-    band runs the same BLAS calls in any run, so the bits do not depend
-    on the executor.  The buffers are allocated once for all chunks.
+
+def _padded(centres: np.ndarray, tile: int) -> np.ndarray:
+    """``centres`` extended to whole tiles by repeating the last one."""
+    return np.concatenate([centres, np.repeat(centres[-1:],
+                                              -len(centres) % tile)])
+
+
+def _separable(tiling: tuple[int, int, int, int], problem: KDVProblem,
+               xs: np.ndarray, ys: np.ndarray,
+               span: tuple[int, int]) -> np.ndarray:
+    """Gaussian kernel sums of a run of whole y-bands.
+
+    Per chunk of points: one x-table (pixel columns by points) and the
+    run's y-table (points by pixel rows), then per y-band one stacked
+    product over (``k``-point slice, x-tile) whose slices are added in
+    point order.  The padding points of a chunk's last slice have zero
+    y-factors; padding rows and columns of the grid are cut off at the
+    end.  Every band runs the same BLAS calls in any run, so the bits do
+    not depend on the executor.  The buffers are allocated once for all
+    chunks.
     """
+    chunk, k, tx, ty = tiling
     pts, weights = problem.points, problem.weights
-    nx = len(xs)
     scale = -1.0 / (problem.bandwidth * problem.bandwidth)
-    j0, j1 = spans[0][0], spans[-1][1]
-    fx = np.zeros((tiles * tile, chunk))
-    fy = np.empty((j1 - j0, chunk))
-    scratch = np.empty((max(nx, j1 - j0), chunk))
-    products = np.empty((tiles * tile, j1 - j0))
+    j_lo, j_hi = span
+    cx, cy = _padded(xs, tx), _padded(ys[j_lo:j_hi], ty)
+    tiles, bands = len(cx) // tx, len(cy) // ty
+    fx = np.empty((len(cx), chunk))
+    fy = np.empty((chunk, len(cy)))
+    scratch = np.empty(max(len(cx), len(cy)) * chunk)
+    products = np.empty((chunk // k, tiles, tx, ty))
+    reduced = np.empty((len(cx), ty))
+    coords = np.empty((2 if weights is None else 3, chunk))
 
-    values = np.zeros((nx, j1 - j0))
+    values = np.zeros((bands, len(cx), ty))
     for start in range(0, pts.shape[0], chunk):
-        p = pts[start:start + chunk]
-        m = p.shape[0]
-        _factors(xs, p[:, 0], scale, fx[:nx, :m], scratch[:nx, :m],
-                 None if weights is None else weights[start:start + m])
-        stack = fx[:, :m].reshape(tiles, tile, m)
-        for a, b in ((a - j0, b - j0) for a, b in spans):
-            _factors(ys[j0 + a:j0 + b], p[:, 1], scale, fy[a:b, :m],
-                     scratch[:b - a, :m])
-            band = np.matmul(stack, fy[a:b, :m].T,
-                             out=products[:, a:b].reshape(tiles, tile, b - a))
-            values[:, a:b] += band.reshape(-1, b - a)[:nx]
-    return values
+        m = min(chunk, pts.shape[0] - start)
+        s = -(-m // k)
+        p = coords[:, :s * k]
+        p[:2, :m] = pts[start:start + m].T
+        p[:2, m:] = p[:2, m - 1:m]  # finite padding, zeroed below
+        if weights is not None:
+            p[2, :m] = weights[start:start + m]
+            p[2, m:] = 0.0
+        _factors(cx[:, None], p[0][None, :], scale, fx[:, :s * k], scratch,
+                 None if weights is None else p[2][None, :])
+        _factors(p[1][:, None], cy[None, :], scale, fy[:s * k], scratch)
+        fy[m:s * k] = 0.0
+        stack = fx[:, :s * k].reshape(tiles, tx, s, k).transpose(2, 0, 1, 3)
+        for band in range(bands):
+            rows = fy[:s * k, band * ty:(band + 1) * ty]
+            np.matmul(stack, rows.reshape(s, 1, k, ty), out=products[:s])
+            np.add.reduce(products[:s].reshape(s, -1, ty), axis=0,
+                          out=reduced)
+            values[band] += reduced
+    grid = values.transpose(1, 0, 2).reshape(len(cx), len(cy))
+    return grid[:len(xs), :j_hi - j_lo]
 
 
-def _factors(centres: np.ndarray, coords: np.ndarray, scale: float,
-             out: np.ndarray, scratch: np.ndarray, weights=None) -> None:
-    """``out[i, p] = w_p * exp(scale * (centres[i] - coords[p])**2)``,
-    with entries below :data:`_TINY` set to zero.
+def _factors(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray,
+             scratch: np.ndarray, weights=None) -> None:
+    """``out = w * exp(scale * (a - b)**2)`` broadcast over a column of
+    pixel centres and a row of point coordinates (or the reverse), with
+    entries below :data:`_TINY` set to zero.
 
-    The zeroing is a multiply by a 0/1 table, not a masked store: a store
-    costs ~10x more where the mask mixes values.
+    The clamp to :data:`_EXP_FLOOR` and the zeroing run only where the
+    coordinates and weights can reach them: the farthest centre-point
+    distance is rounded by the same operations as the table, so no
+    entry's exponent lies below it, and a skipped step would not have
+    changed a bit.  The zeroing is a multiply by a 0/1 table, not a
+    masked store: a store costs ~10x more where the mask mixes values.
     """
-    np.subtract(centres[:, None], coords[None, :], out=out)
-    np.multiply(out, out, out=out)
+    np.subtract(a, b, out=out)
+    np.square(out, out=out)
     np.multiply(out, scale, out=out)
-    np.maximum(out, _EXP_FLOOR, out=out)
+    far = max(a.max() - b.min(), b.max() - a.min())
+    lowest = scale * (far * far)
+    if lowest < _EXP_FLOOR:
+        np.maximum(out, _EXP_FLOOR, out=out)
+        lowest = _EXP_FLOOR
     np.exp(out, out=out)
+    # The smallest entry, with a factor 2 for the round-off of exp.
+    least = 0.5 * math.exp(lowest)
     if weights is not None:
         np.multiply(out, weights, out=out)
-    np.greater_equal(out, _TINY, out=scratch)
-    np.multiply(out, scratch, out=out)
+        positive = weights[weights > 0.0]
+        least *= positive.min() if positive.size else math.inf
+    if least < _TINY:
+        mask = scratch[:out.size].reshape(out.shape)
+        np.greater_equal(out, _TINY, out=mask)
+        np.multiply(out, mask, out=out)

@@ -167,6 +167,19 @@ class CostModel:
       0.2% to 30% of the diagonal; best of 5, same host); predictions
       fall within 0.4-1.6x of those timings, and Epanechnikov and
       uniform sweeps run faster than the quartic price;
+    * ``sweep_point`` — the filter, sort and expansion of every point
+      before the first row, which the row terms leave out: at 20k points
+      and bands of 0.2-1% of the diagonal they predicted 0.53-1.01x of
+      the measured time.  Fitted (least squares in log ratio) on those
+      nine inputs, 64x48 to 256x192 pixels, after scaling the timings by
+      the row terms' own prediction ratio on the bands of 5% and wider
+      (1.59: the host ran faster than when those were fitted); over 54
+      timings (2k-20k points, bandwidths 0.2-30%) the prediction ratio
+      spans 0.60-1.80 against 0.53-1.68 before, and the nine read
+      0.60-1.69.  The filter, sort and expansion alone measure about
+      1e-8 s per point (a 16x2 grid, 200 to 50k points); the rest of the
+      term is per-point work of thin bands, whose row batches evaluate
+      up to twice the pairs the band holds;
     * ``parallel_overhead`` — the fixed cost of each worker past the
       first; with k workers the divisible phase of ``naive`` and
       ``dualtree`` runs ``k ** 0.85`` times faster;
@@ -178,9 +191,17 @@ class CostModel:
       bucketing overhead, it is not free);
     * ``naive_factor`` / ``naive_product`` — the separable Gaussian
       gather: seconds per factor evaluation (``n * (nx + ny)`` of them)
-      and per product multiply-add (``n * nx * ny``), fitted to 24
-      timed runs (n 2k-20k, 32x24 to 256x192 pixels; one BLAS thread,
-      2-vCPU x86-64 host; max relative error 18%);
+      and per product multiply-add (``n * nx * ny``), fitted (least
+      squares in relative error) to 36 timings of the gather in
+      cube-shaped products (2k, 8k and 20k ``chicago_crime`` points,
+      32x24 to 256x192 pixels, bandwidths 1%, 5% and 15% of the
+      diagonal; best of 6, one BLAS thread, 2-vCPU x86-64 host).  The
+      former 16-band gather ran interleaved with them, and the timings
+      were scaled by its price over its time (0.79), so the fit sits on
+      the same host scale as the one it replaces (6.1e-9, 5.5e-11).
+      Predictions fall within 0.36-1.52x of the scaled timings; the low
+      end is 2k points at 1%, where the exponent clamp and the zeroing
+      of small factors add two to three passes over the tables;
     * ``grid_gauss_factor`` and ``grid_base`` — measured on that host
       beside them: the Gaussian scatter costs 1.5x the quartic one over
       the same patch, and a grid call with a near-empty patch takes
@@ -214,8 +235,8 @@ class CostModel:
 
 _DEFAULT_COEFFICIENTS: dict[str, float] = {
     "naive_pp": 7.0e-9,
-    "naive_factor": 6.1e-9,
-    "naive_product": 5.5e-11,
+    "naive_factor": 3.9e-9,
+    "naive_product": 2.0e-11,
     "parallel_overhead": 2.0e-3,
     "grid_base": 3.0e-4,
     "grid_pp": 1.0e-8,
@@ -225,6 +246,7 @@ _DEFAULT_COEFFICIENTS: dict[str, float] = {
     "sweep_base": 5.0e-4,
     "sweep_row": 4.2e-5,
     "sweep_unit": 4.2e-8,
+    "sweep_point": 1.0e-7,
     "dualtree_base": 2.0e-2,
     "dualtree_build": 1.4e-7,
     "dualtree_refine": 2.0e-6,

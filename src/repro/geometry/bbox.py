@@ -155,8 +155,10 @@ class BoundingBox:
         height = self.height
         dx = np.abs(np.asarray(dx, dtype=np.float64))
         dy = np.abs(np.asarray(dy, dtype=np.float64))
-        dx = np.minimum(dx, width - dx)
-        dy = np.minimum(dy, height - dy)
+        # ``abs``: a displacement a rounding error past the period wraps to
+        # that small error, not to a negative length.
+        dx = np.minimum(dx, np.abs(width - dx))
+        dy = np.minimum(dy, np.abs(height - dy))
         return dx, dy
 
     def scaled_bandwidth(self, fraction: float) -> float:

@@ -1,19 +1,24 @@
 """The Gaussian ``naive`` gather by separable factors vs the elementwise formula.
 
-``kde_naive`` computes the Gaussian as two factor tables and one BLAS
-product per point chunk and row band.  Its stated contract:
+``kde_naive`` computes the Gaussian as two factor tables per point chunk
+and, per y-band, one stacked BLAS product over (``k``-point slice,
+x-tile) whose slices are added in point order.  Its stated contract:
 
 * ``|F_hat - F| <= 1e-12 * F + sqrt(DBL_MIN) * sum(max(w_i, 1))`` against
   the elementwise sum ``F`` (``n * sqrt(DBL_MIN)`` unweighted);
 * no output value is subnormal (factors below ``sqrt(DBL_MIN)`` are zero);
-* chunks are added in point order, and the bits are the same for every
-  ``workers``/``backend`` setting, trace included.
+* slices and chunks are added in point order, and the bits are the same
+  for every ``workers``/``backend`` setting, trace included;
+* no BLAS product exceeds ``_PRODUCT_MACS`` multiply-adds.
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.kdv import KDVProblem, kde_grid
@@ -51,21 +56,27 @@ def _points(n, seed=0, bbox=BBOX):
                             rng.uniform(bbox.ymin, bbox.ymax, n)])
 
 
+def assert_products_within_budget(problem: KDVProblem) -> None:
+    chunk, k, tx, ty = naive._tiling(problem.n, problem.nx, problem.ny)
+    assert chunk % k == 0
+    assert tx * k * ty <= naive._PRODUCT_MACS
+
+
 class TestStatedBound:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_chunks_that_do_not_divide_n(self, monkeypatch, weighted):
-        # A 7-point chunk over 101 points leaves a 3-point remainder, and
-        # a small product budget splits the x-table into padded tiles.
+        # 4 x 4 x 7 products: 37 columns pad to ten x-tiles, 23 rows to
+        # six y-bands, and a 28-point chunk (four slices) over 101 points
+        # leaves a 17-point chunk whose third slice holds 3 points.
         size = (37, 23)
-        monkeypatch.setattr(naive, "_CHUNK_BYTES", 8 * sum(size) * 7)
-        monkeypatch.setattr(naive, "_PRODUCT_MACS", 7 * 2 * 10)
-        edges = np.linspace(0, 23, naive._BANDS + 1).astype(int)
-        spans = list(zip(edges[:-1], edges[1:]))
-        assert naive._tiling(101, 37, spans) == (7, 4, 10)
+        monkeypatch.setattr(naive, "_CHUNK_BYTES", 8 * (40 + 24) * 30)
+        monkeypatch.setattr(naive, "_PRODUCT_MACS", 112)
+        assert naive._tiling(101, *size) == (28, 7, 4, 4)
         rng = np.random.default_rng(1)
         weights = rng.uniform(0.0, 3.0, 101) if weighted else None
         problem = KDVProblem(_points(101), BBOX, size, 1.3, "gaussian",
                              weights=weights)
+        assert_products_within_budget(problem)
         assert_within_bound(naive.kde_naive(problem).values, problem)
 
     def test_coincident_points(self):
@@ -114,11 +125,14 @@ class TestStatedBound:
 class TestAccumulationOrder:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_chunks_are_added_in_point_order(self, monkeypatch, weighted):
-        # One point per chunk: each chunk's product is the exact outer
-        # product of its two factor rows, so the output must equal the
-        # sum of those outer products taken in point order, bit for bit.
+        # One point per slice, five slices per chunk: each slice's product
+        # is the exact outer product of its two factor rows, so a chunk
+        # adds the sum of its outer products, taken in point order, to
+        # the output, and the chunks follow in point order, bit for bit.
         size = (19, 11)
-        monkeypatch.setattr(naive, "_CHUNK_BYTES", 8 * sum(size))
+        monkeypatch.setattr(naive, "_PRODUCT_MACS", 4)
+        monkeypatch.setattr(naive, "_CHUNK_BYTES", 8 * (20 + 12) * 5)
+        assert naive._tiling(60, *size) == (5, 1, 2, 2)
         rng = np.random.default_rng(7)
         weights = rng.uniform(0.1, 2.0, 60) if weighted else None
         problem = KDVProblem(_points(60, seed=7), BBOX, size, 2.5,
@@ -127,15 +141,20 @@ class TestAccumulationOrder:
 
         xs, ys = problem.pixel_centers()
         scale = -1.0 / (problem.bandwidth * problem.bandwidth)
-        fx, fy = np.empty((len(xs), 1)), np.empty((len(ys), 1))
-        scratch = np.empty((max(size), 1))
+        fx, fy = np.empty((len(xs), 1)), np.empty((1, len(ys)))
+        scratch = np.empty(max(size))
         ref = np.zeros(size)
-        for k, (px, py) in enumerate(problem.points):
-            w = None if weights is None else weights[k:k + 1]
-            naive._factors(xs, np.array([px]), scale, fx,
-                           scratch[:len(xs)], w)
-            naive._factors(ys, np.array([py]), scale, fy, scratch[:len(ys)])
-            ref += np.outer(fx[:, 0], fy[:, 0])
+        for start in range(0, 60, 5):
+            chunk = np.zeros(size)
+            for k in range(start, start + 5):
+                px, py = problem.points[k]
+                w = None if weights is None else weights[k:k + 1][None, :]
+                naive._factors(xs[:, None], np.array([[px]]), scale, fx,
+                               scratch, w)
+                naive._factors(np.array([[py]]), ys[None, :], scale, fy,
+                               scratch)
+                chunk += fx @ fy
+            ref += chunk
         assert np.array_equal(got, ref)
 
 
@@ -144,16 +163,18 @@ class TestWorkerInvariance:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bits_follow_neither_workers_nor_backend(self, backend,
                                                      weighted):
-        # 2,500 points on 64 x 48 pixels span two chunks, the second one
-        # partial; 48 rows make 16 bands of three.
+        # 2,500 points on 64 x 150 pixels span three chunks, the last
+        # one partial; 150 rows make three y-bands of 50, so two and four
+        # workers take different runs of bands.
         pts = _points(2_500, seed=11)
         weights = (np.random.default_rng(11).uniform(0.0, 2.0, 2_500)
                    if weighted else None)
-        assert naive._tiling(2_500, 64, [(0, 48)])[0] < 2_500
-        ref = kde_grid(pts, BBOX, (64, 48), 0.8, kernel="gaussian",
+        chunk, _, _, ty = naive._tiling(2_500, 64, 150)
+        assert (chunk < 2_500 < 3 * chunk, ty) == (True, 50)
+        ref = kde_grid(pts, BBOX, (64, 150), 0.8, kernel="gaussian",
                        method="naive", weights=weights, workers=1).values
         for workers in (1, 2, 4):
-            got = kde_grid(pts, BBOX, (64, 48), 0.8, kernel="gaussian",
+            got = kde_grid(pts, BBOX, (64, 150), 0.8, kernel="gaussian",
                            method="naive", weights=weights, workers=workers,
                            backend=backend).values
             assert np.array_equal(got, ref), (backend, workers)
@@ -177,3 +198,48 @@ class TestWorkerInvariance:
         assert counters["kdv.factor_evals"] == 900 * (40 + 30)
         assert "kdv.bands" in repr(tree)
         assert all(t == traces[0] for t in traces[1:])
+
+
+@st.composite
+def _gathers(draw):
+    """A Gaussian problem plus product and chunk budgets small enough to
+    leave remainders in the x-tiles, y-bands, k-slices and point chunks."""
+    nx = draw(st.integers(1, 24))
+    ny = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 80))
+    macs = draw(st.integers(4, 400))
+    chunk_bytes = draw(st.integers(8, 20_000))
+    bandwidth = draw(st.floats(0.05, 15.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = _points(n, seed=int(rng.integers(2**32)))
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.uniform(0.0, 3.0, n) * (rng.random(n) > 0.2)
+    return (nx, ny), pts, bandwidth, weights, macs, chunk_bytes
+
+
+class TestSeparableProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(_gathers())
+    @example(((37, 23), _points(101), 1.3, None, 112, 8 * 64 * 30))
+    @example(((37, 23), _points(101), 0.1, np.linspace(0.0, 3.0, 101), 112,
+              8 * 64 * 30))
+    @example(((1, 1), _points(50), 4.0, np.linspace(0.0, 2.0, 50), 400, 56))
+    @example(((1, 19), _points(33), 0.3, None, 40, 8 * 22 * 9))
+    @example(((24, 24), np.zeros((1, 2)), 0.35, None, 400, 20_000))
+    def test_bound_subnormals_and_worker_bits(self, case):
+        size, pts, bandwidth, weights, macs, chunk_bytes = case
+        problem = KDVProblem(pts, BBOX, size, bandwidth, "gaussian",
+                             weights=weights)
+        with mock.patch.object(naive, "_PRODUCT_MACS", macs), \
+                mock.patch.object(naive, "_CHUNK_BYTES", chunk_bytes):
+            assert_products_within_budget(problem)
+            got = naive.kde_naive(problem).values
+            assert_within_bound(got, problem)
+            nonzero = got[got != 0.0]
+            assert not nonzero.size or nonzero.min() >= DBL_MIN
+            for backend in ("thread", "process"):
+                for workers in (2, 4):
+                    other = naive.kde_naive(problem, workers=workers,
+                                            backend=backend).values
+                    assert np.array_equal(other, got), (backend, workers)
